@@ -25,10 +25,16 @@
 //!
 //! # Sharing and determinism
 //!
-//! [`SharedKnowledgeCache`] is the concurrent form: the memo maps are
-//! **lock-striped** across [`STRIPES`] shards keyed by pair hash, probes
-//! take `&self`, and workers publish memos into their stripe as they
-//! evaluate — there is no global lock and no single-threaded fold. Many
+//! [`SharedKnowledgeCache`] is the concurrent form: the memo pool is
+//! **row-major and lock-striped**. A pair `(i, j)` (`i < j`) lives in row
+//! `i`, a column of `j`s sorted beside their memos, and each row belongs
+//! to one of [`STRIPES`] shards chosen by a hash of `i`. Probes take
+//! `&self`; a worker walks its candidates (always sorted canonical
+//! pairs) one row run at a time: it takes the row's stripe lock once,
+//! merge-walks the sorted row, settles full hits in place without
+//! copying a memo out, evaluates the rest outside the lock, and takes
+//! the lock once more to publish what the run learned — there is no
+//! global lock and no single-threaded fold. Many
 //! sessions probing the same corpus at different thresholds share one
 //! sketch set and one memo pool ([`Session::with_shared_cache`],
 //! [`CacheRegistry`]).
@@ -45,9 +51,9 @@
 //!
 //! Long-lived serving processes bound the memo pool with a
 //! [`CacheCapacity`]: every pair memo is byte-accounted
-//! ([`MatchProfile::byte_size`] plus per-entry overhead) per stripe, and
-//! publications that push a stripe over its share of the cap evict memos
-//! — least-recently-used first, or shallowest-profile first
+//! ([`MatchProfile::byte_size`] plus its row column key and record) per
+//! stripe, and publications that push a stripe over its share of the cap
+//! evict memos — least-recently-used first, or shallowest-profile first
 //! ([`EvictionPolicy`]). Because memos are pure recomputable knowledge,
 //! **eviction never changes probe outputs**, only work counters; the
 //! capped cache returns bit-identical results to an unbounded one at any
@@ -77,7 +83,7 @@
 //! [`MatchProfile`]: plasma_lsh::bayes::MatchProfile
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 
 use plasma_data::hash::{FxHashMap, FxHasher};
 use plasma_data::similarity::Similarity;
@@ -89,10 +95,17 @@ use rayon::prelude::*;
 
 use crate::apss::{build_sketches, ApssConfig, ApssResult, ApssStats, SimilarPair};
 
-/// Number of lock stripes in a [`SharedKnowledgeCache`]. A fixed power of
-/// two well above typical core counts keeps contention negligible without
-/// making `len()`/snapshot walks expensive.
+/// Number of lock stripes in a [`SharedKnowledgeCache`]. Stripes own whole
+/// memo rows: pair `(i, j)` lives in stripe `mix64(i) & (STRIPES − 1)`,
+/// so a probe locks once per row run rather than once per pair. A fixed
+/// power of two well above typical core counts keeps contention
+/// negligible without making `len()`/snapshot walks expensive.
 pub const STRIPES: usize = 64;
+
+/// The stripe owning memo row `i` (every pair `(i, j)` with `i < j`).
+fn stripe_of(i: u32) -> usize {
+    (plasma_data::hash::mix64(i as u64) as usize) & (STRIPES - 1)
+}
 
 /// Which memo a bounded cache sacrifices first when it must evict.
 ///
@@ -104,9 +117,11 @@ pub const STRIPES: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
     /// Evict the pair touched longest ago (reads and publications both
-    /// refresh recency). Ties — possible only between pairs never touched
-    /// since the same probe — fall back to dropping the shallowest
-    /// profile first, the cheapest knowledge to rebuild.
+    /// refresh recency). Recency is kept per row run: every pair a probe
+    /// reads or publishes in one run of its row shares one stamp. Ties —
+    /// pairs touched in the same run — fall back to dropping the
+    /// shallowest profile first, the cheapest knowledge to rebuild, then
+    /// to the smaller pair key.
     #[default]
     LeastRecentlyUsed,
     /// Evict the pair with the fewest covered batch steps first (recency
@@ -119,7 +134,8 @@ pub enum EvictionPolicy {
 ///
 /// The cap is a bound on **accounted memo bytes**: per-pair profile heap
 /// bytes ([`MatchProfile::byte_size`]) plus a fixed per-entry overhead for
-/// the key, decision record, exact-similarity slot, and recency stamp.
+/// the row's `u32` column key and the memo record (profile header,
+/// decision record, exact-similarity slot, and recency stamp).
 /// Sketches are *not* counted — they are immutable, sized up front, and
 /// reported separately ([`SharedKnowledgeCache::total_bytes`]).
 ///
@@ -188,7 +204,7 @@ impl CacheCapacity {
     }
 }
 
-/// Everything the cache remembers about one pair, under one stripe slot.
+/// Everything the cache remembers about one pair, in its row.
 #[derive(Default)]
 struct PairMemo {
     /// The confluent match-count memo (may be empty when only an exact
@@ -207,51 +223,150 @@ struct PairMemo {
 }
 
 impl PairMemo {
-    /// Accounted bytes: fixed per-entry overhead (map slot, key, record,
-    /// stamp) plus the profile's heap. An estimate of the real footprint
-    /// — hash-map load-factor slack is not modeled — but a *consistent*
-    /// one, so the capacity invariant is exact over what is accounted.
+    /// Accounted bytes: the row's `u32` column key, the memo record
+    /// (profile header, decision record, exact slot, stamp), and the
+    /// profile's heap. An estimate of the real footprint — row headers
+    /// and vector growth slack are not modeled — but a *consistent* one,
+    /// so the capacity invariant is exact over what is accounted.
     fn byte_size(&self) -> usize {
-        std::mem::size_of::<((u32, u32), PairMemo)>()
-            + std::mem::size_of::<u64>()
-            + self.profile.byte_size()
+        std::mem::size_of::<u32>() + std::mem::size_of::<PairMemo>() + self.profile.byte_size()
+    }
+
+    /// Folds what one evaluation learned into this memo (order-free
+    /// deepest-wins merge of the profile and decision record, idempotent
+    /// exact similarity) and stamps it with `stamp`.
+    fn absorb(&mut self, learned: Learned, stamp: u64) {
+        if let Some((mut profile, est)) = learned.memo {
+            // Shrink before adopting so the stored capacity — what the
+            // accounting charges — carries no push-growth slack.
+            profile.shrink_to_fit();
+            self.profile.adopt_deeper(profile);
+            match &mut self.estimate {
+                Some(old) if est.hashes >= old.hashes => *old = est,
+                Some(_) => {}
+                slot @ None => *slot = Some(est),
+            }
+        }
+        if let Some(s) = learned.exact {
+            self.exact = Some(s);
+        }
+        self.last_used = stamp;
     }
 }
 
-/// One lock stripe of the shared memo pool: the per-pair memos plus this
-/// stripe's exact accounted-byte tally.
+/// What one evaluation of pair `(i, j)` learned, for publication into
+/// row `i`.
+struct Learned {
+    j: u32,
+    /// An extended profile plus its decision record.
+    memo: Option<(MatchProfile, PairEstimate)>,
+    /// A freshly computed exact similarity.
+    exact: Option<f64>,
+}
+
+/// One record's memos: every memoized pair `(i, j)` of row `i`, as a
+/// column of `j`s sorted ascending beside their memos.
+#[derive(Default)]
+struct Row {
+    js: Vec<u32>,
+    memos: Vec<PairMemo>,
+}
+
+impl Row {
+    /// Merge-walk step: the memo for column `j`, searching from `*pos`
+    /// for callers visiting columns in ascending order. Leaves `*pos`
+    /// where the next, larger column's search starts. O(1) when the row
+    /// holds exactly the visited columns, a binary search otherwise.
+    fn find(&mut self, pos: &mut usize, j: u32) -> Option<&mut PairMemo> {
+        let at = match self.js.get(*pos) {
+            Some(&c) if c >= j => *pos,
+            _ => *pos + self.js[*pos..].partition_point(|&c| c < j),
+        };
+        if self.js.get(at) == Some(&j) {
+            *pos = at + 1;
+            Some(&mut self.memos[at])
+        } else {
+            *pos = at;
+            None
+        }
+    }
+
+    /// Merges memos for columns the row does not hold yet (sorted
+    /// ascending) into place, back to front: linear in the row, and a
+    /// plain append when every new column is past the row's last.
+    fn insert_sorted(&mut self, mut fresh: Vec<(u32, PairMemo)>) {
+        let mut read = self.js.len();
+        let mut write = read + fresh.len();
+        self.js.resize(write, 0);
+        self.memos.resize_with(write, PairMemo::default);
+        while let Some(&(j, _)) = fresh.last() {
+            write -= 1;
+            if read > 0 && self.js[read - 1] > j {
+                read -= 1;
+                self.js[write] = self.js[read];
+                self.memos.swap(write, read);
+            } else {
+                let (j, memo) = fresh.pop().expect("fresh is non-empty");
+                self.js[write] = j;
+                self.memos[write] = memo;
+            }
+        }
+    }
+}
+
+/// One lock stripe of the shared memo pool: the memo rows whose record
+/// hashes here, plus this stripe's exact accounted-byte tally.
 #[derive(Default)]
 struct Stripe {
-    /// Per-pair memos (`i < j` keys).
-    entries: FxHashMap<(u32, u32), PairMemo>,
-    /// Sum of `entries[k].byte_size()` — maintained exactly under this
-    /// stripe's lock.
+    /// Memo rows keyed by the pair's smaller record `i`.
+    rows: FxHashMap<u32, Row>,
+    /// Sum of the resident memos' `byte_size()` — maintained exactly
+    /// under this stripe's lock.
     bytes: usize,
 }
 
 impl Stripe {
+    /// Every resident memo with its canonical pair key.
+    fn memos(&self) -> impl Iterator<Item = ((u32, u32), &PairMemo)> {
+        self.rows
+            .iter()
+            .flat_map(|(&i, row)| row.js.iter().map(move |&j| (i, j)).zip(&row.memos))
+    }
+
+    /// The memo of a canonical pair key, if resident.
+    fn get(&self, (i, j): (u32, u32)) -> Option<&PairMemo> {
+        let row = self.rows.get(&i)?;
+        row.js.binary_search(&j).ok().map(|at| &row.memos[at])
+    }
+
     /// Evicts until this stripe's accounted bytes fit `budget`, returning
     /// `(entries, bytes)` evicted. Victim order is the capacity policy's;
     /// the final total-order key makes eviction deterministic for any
     /// serialized publication history.
     fn evict_to_budget(&mut self, budget: usize, policy: EvictionPolicy) -> (u64, u64) {
         let mut evicted = (0u64, 0u64);
-        while self.bytes > budget && !self.entries.is_empty() {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(key, memo)| match policy {
+        while self.bytes > budget {
+            let Some((i, j)) = self
+                .memos()
+                .min_by_key(|&(key, memo)| match policy {
                     EvictionPolicy::LeastRecentlyUsed => {
-                        (memo.last_used, memo.profile.covered_steps() as u64, **key)
+                        (memo.last_used, memo.profile.covered_steps() as u64, key)
                     }
                     EvictionPolicy::ShallowestFirst => {
-                        (memo.profile.covered_steps() as u64, memo.last_used, **key)
+                        (memo.profile.covered_steps() as u64, memo.last_used, key)
                     }
                 })
-                .map(|(key, _)| *key)
-                .expect("non-empty entry map has a minimum");
-            let memo = self.entries.remove(&victim).expect("victim exists");
-            let bytes = memo.byte_size();
+                .map(|(key, _)| key)
+            else {
+                break;
+            };
+            let row = self.rows.get_mut(&i).expect("victim row exists");
+            let at = row.js.binary_search(&j).expect("victim column exists");
+            row.js.remove(at);
+            let bytes = row.memos.remove(at).byte_size();
+            if row.js.is_empty() {
+                self.rows.remove(&i);
+            }
             self.bytes -= bytes;
             evicted.0 += 1;
             evicted.1 += bytes as u64;
@@ -271,8 +386,9 @@ pub struct CacheMemoryStats {
     pub memo_bytes: usize,
     /// High-water mark of accounted memo bytes over the cache's life.
     /// With a cap configured this can transiently exceed the cap by at
-    /// most one publication (accounting happens just before the eviction
-    /// pass in the same critical section).
+    /// most one publication — one row run's new knowledge (accounting
+    /// happens just before the eviction pass in the same critical
+    /// section).
     pub peak_memo_bytes: usize,
     /// Immutable sketch bytes (not subject to the cap).
     pub sketch_bytes: usize,
@@ -299,6 +415,12 @@ pub struct CacheMemoryStats {
     /// Lifetime pair evaluations answered entirely from the memo pool
     /// (the sum of every probe's `cache_hits`).
     pub cache_hits: u64,
+    /// Lifetime stripe-lock acquisitions by pair evaluation: one read
+    /// and at most one publication per row run of a probe, one per
+    /// single-pair memo read or publication. Inspection calls
+    /// (`memory_stats`, `len`, `get`, snapshots) are not counted. The
+    /// work-counter proof that a warm probe locks per row, not per pair.
+    pub stripe_locks: u64,
 }
 
 /// Memoized probe state for one dataset, shareable across sessions and
@@ -351,8 +473,9 @@ pub struct SharedKnowledgeCache {
     schedule_batch: OnceLock<usize>,
     /// Thresholds probed so far, in publication (append) order.
     history: Mutex<Vec<f64>>,
-    /// Monotonic touch clock; every read or publication of a pair memo
-    /// takes a fresh stamp, giving the LRU policy its order.
+    /// Monotonic touch clock; every row run of a probe (and every
+    /// single-pair read or publication) takes a fresh stamp, giving the
+    /// LRU policy its order.
     clock: AtomicU64,
     /// Mirror of the summed per-stripe byte tallies, so `memo_bytes` and
     /// peak tracking are O(1) instead of [`STRIPES`] lock walks.
@@ -364,6 +487,9 @@ pub struct SharedKnowledgeCache {
     evicted_bytes: AtomicU64,
     /// Lifetime cache hits (summed per-probe `cache_hits`).
     hits: AtomicU64,
+    /// Lifetime stripe-lock acquisitions by pair evaluation (see
+    /// [`CacheMemoryStats::stripe_locks`]).
+    stripe_locks: AtomicU64,
     /// Epoch-persistent band buckets for the banded candidate strategy.
     /// The mutex serializes candidate generation across concurrent
     /// probes; a warm probe only clones an `Arc` under it, and the cold
@@ -432,6 +558,7 @@ impl SharedKnowledgeCache {
             evicted_entries: AtomicU64::new(0),
             evicted_bytes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
+            stripe_locks: AtomicU64::new(0),
             band_buckets: Mutex::new(None),
             bucket_bytes: AtomicUsize::new(0),
             bucket_build_records: AtomicU64::new(0),
@@ -557,7 +684,10 @@ impl SharedKnowledgeCache {
             entries: self
                 .stripes
                 .iter()
-                .map(|s| s.lock().expect("stripe lock").entries.len())
+                .map(|s| {
+                    let g = s.lock().expect("stripe lock");
+                    g.rows.values().map(|row| row.js.len()).sum::<usize>()
+                })
                 .sum(),
             memo_bytes: self.memo_bytes(),
             peak_memo_bytes: self.peak_bytes.load(Ordering::Relaxed),
@@ -568,6 +698,7 @@ impl SharedKnowledgeCache {
             evicted_entries: self.evicted_entries.load(Ordering::Relaxed),
             evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
             cache_hits: self.hits.load(Ordering::Relaxed),
+            stripe_locks: self.stripe_locks.load(Ordering::Relaxed),
         }
     }
 
@@ -581,9 +712,8 @@ impl SharedKnowledgeCache {
             .map(|s| {
                 s.lock()
                     .expect("stripe lock")
-                    .entries
-                    .values()
-                    .filter(|m| !m.profile.is_empty())
+                    .memos()
+                    .filter(|(_, m)| !m.profile.is_empty())
                     .count()
             })
             .sum()
@@ -597,9 +727,8 @@ impl SharedKnowledgeCache {
         self.stripes.iter().all(|s| {
             s.lock()
                 .expect("stripe lock")
-                .entries
-                .values()
-                .all(|m| m.profile.is_empty())
+                .memos()
+                .all(|(_, m)| m.profile.is_empty())
         })
     }
 
@@ -622,11 +751,10 @@ impl SharedKnowledgeCache {
     /// publications keep a memo warm.
     pub fn get(&self, i: u32, j: u32) -> Option<PairEstimate> {
         let key = (i.min(j), i.max(j));
-        self.stripe(key)
+        self.stripes[stripe_of(key.0)]
             .lock()
             .expect("stripe lock")
-            .entries
-            .get(&key)
+            .get(key)
             .and_then(|m| m.estimate)
     }
 
@@ -636,19 +764,16 @@ impl SharedKnowledgeCache {
         let mut out = Vec::new();
         for s in &self.stripes {
             let g = s.lock().expect("stripe lock");
-            out.extend(
-                g.entries
-                    .iter()
-                    .filter_map(|(&k, m)| Some((k, m.estimate?))),
-            );
+            out.extend(g.memos().filter_map(|(k, m)| Some((k, m.estimate?))));
         }
         out
     }
 
-    /// The stripe owning a pair key.
-    fn stripe(&self, key: (u32, u32)) -> &Mutex<Stripe> {
-        let mixed = plasma_data::hash::mix64(((key.0 as u64) << 32) | key.1 as u64);
-        &self.stripes[(mixed as usize) & (STRIPES - 1)]
+    /// Locks the stripe owning row `i`, counting the acquisition in
+    /// [`CacheMemoryStats::stripe_locks`].
+    fn lock_row(&self, i: u32) -> MutexGuard<'_, Stripe> {
+        self.stripe_locks.fetch_add(1, Ordering::Relaxed);
+        self.stripes[stripe_of(i)].lock().expect("stripe lock")
     }
 
     /// Pins the evaluation schedule on first use; returns whether profile
@@ -659,9 +784,9 @@ impl SharedKnowledgeCache {
 
     /// Snapshot of a pair's memoized profile (empty when unknown),
     /// refreshing the pair's recency so LRU eviction sees the read.
-    pub(crate) fn load_profile(&self, key: (u32, u32)) -> MatchProfile {
-        let mut g = self.stripe(key).lock().expect("stripe lock");
-        match g.entries.get_mut(&key) {
+    pub(crate) fn load_profile(&self, (i, j): (u32, u32)) -> MatchProfile {
+        let mut g = self.lock_row(i);
+        match g.rows.get_mut(&i).and_then(|row| row.find(&mut 0, j)) {
             Some(memo) => {
                 memo.last_used = self.clock.fetch_add(1, Ordering::Relaxed);
                 memo.profile.clone()
@@ -670,19 +795,13 @@ impl SharedKnowledgeCache {
         }
     }
 
-    /// Publishes what one evaluation learned into the pair's stripe under
-    /// a single lock acquisition: an extended profile + decision record
-    /// (order-free deepest-wins merge) and/or a freshly computed exact
-    /// similarity. No-op (lock-free) when there is nothing to publish.
-    ///
-    /// Publication is where the capacity policy bites: the stripe's byte
-    /// tally is updated and, when over its share of the cap, memos are
-    /// evicted ([`Stripe::evict_to_budget`]) before the lock drops — so
-    /// the accounted footprint is back under the cap the moment any
-    /// publication completes.
+    /// Publishes what one evaluation learned into the pair's row: an
+    /// extended profile + decision record (order-free deepest-wins merge)
+    /// and/or a freshly computed exact similarity. No-op (lock-free) when
+    /// there is nothing to publish.
     pub(crate) fn publish(
         &self,
-        key: (u32, u32),
+        (i, j): (u32, u32),
         memo: Option<(MatchProfile, PairEstimate)>,
         exact: Option<f64>,
     ) {
@@ -690,41 +809,54 @@ impl SharedKnowledgeCache {
             return;
         }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut g = self.stripe(key).lock().expect("stripe lock");
-        let existed = g.entries.contains_key(&key);
-        let entry = g.entries.entry(key).or_default();
+        self.publish_row(i, stamp, std::iter::once(Learned { j, memo, exact }));
+    }
+
+    /// Publishes a row run's new knowledge into row `i` under one stripe
+    /// lock: `learned` must visit columns in ascending order. Every
+    /// touched memo takes the run's `stamp`.
+    ///
+    /// Publication is where the capacity policy bites: the stripe's byte
+    /// tally is updated and, when over its share of the cap, memos are
+    /// evicted ([`Stripe::evict_to_budget`]) before the lock drops — so
+    /// the accounted footprint is back under the cap the moment any
+    /// publication completes.
+    fn publish_row(&self, i: u32, stamp: u64, learned: impl IntoIterator<Item = Learned>) {
+        let mut g = self.lock_row(i);
+        let stripe = &mut *g;
+        let row = stripe.rows.entry(i).or_default();
         // A fresh entry contributes its whole footprint; an update only
         // its growth.
-        let old_bytes = if existed { entry.byte_size() } else { 0 };
-        if let Some((mut profile, est)) = memo {
-            // Shrink before adopting so the stored capacity — what the
-            // accounting charges — carries no push-growth slack.
-            profile.shrink_to_fit();
-            entry.profile.adopt_deeper(profile);
-            match &mut entry.estimate {
-                Some(old) if est.hashes >= old.hashes => *old = est,
-                Some(_) => {}
-                slot @ None => *slot = Some(est),
+        let (mut added, mut removed) = (0usize, 0usize);
+        let mut fresh = Vec::new();
+        let mut pos = 0;
+        for learned in learned {
+            let j = learned.j;
+            match row.find(&mut pos, j) {
+                Some(entry) => {
+                    removed += entry.byte_size();
+                    entry.absorb(learned, stamp);
+                    added += entry.byte_size();
+                }
+                None => {
+                    let mut entry = PairMemo::default();
+                    entry.absorb(learned, stamp);
+                    added += entry.byte_size();
+                    fresh.push((j, entry));
+                }
             }
         }
-        if let Some(s) = exact {
-            entry.exact = Some(s);
-        }
-        entry.last_used = stamp;
-        let new_bytes = entry.byte_size();
-        g.bytes = (g.bytes + new_bytes) - old_bytes;
-        if new_bytes >= old_bytes {
-            let total = self
-                .bytes
-                .fetch_add(new_bytes - old_bytes, Ordering::Relaxed)
-                + (new_bytes - old_bytes);
+        row.insert_sorted(fresh);
+        stripe.bytes = (stripe.bytes + added) - removed;
+        if added >= removed {
+            let total =
+                self.bytes.fetch_add(added - removed, Ordering::Relaxed) + (added - removed);
             self.peak_bytes.fetch_max(total, Ordering::Relaxed);
         } else {
-            self.bytes
-                .fetch_sub(old_bytes - new_bytes, Ordering::Relaxed);
+            self.bytes.fetch_sub(removed - added, Ordering::Relaxed);
         }
         if let Some(budget) = self.capacity.stripe_budget() {
-            let (entries, bytes) = g.evict_to_budget(budget, self.capacity.policy());
+            let (entries, bytes) = stripe.evict_to_budget(budget, self.capacity.policy());
             if entries > 0 {
                 self.bytes.fetch_sub(bytes as usize, Ordering::Relaxed);
                 self.evicted_entries.fetch_add(entries, Ordering::Relaxed);
@@ -1021,6 +1153,14 @@ impl SharedKnowledgeCache {
     /// sketch snapshot, reading and publishing memos through the lock
     /// stripes. Output order is candidate order, so a sorted candidate
     /// list yields pairs and estimates in canonical `(i, j)` order.
+    ///
+    /// Candidates are taken one **row run** at a time — a maximal slice
+    /// sharing `i` with strictly increasing `j`, which every candidate
+    /// list this cache builds splits into. Each run locks its row's
+    /// stripe once to merge-walk the sorted row (settling full hits in
+    /// place), evaluates the rest without any lock, and locks once more
+    /// only when it has something to publish. Any other order stays
+    /// correct, it just makes shorter runs.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_candidates(
         &self,
@@ -1035,77 +1175,107 @@ impl SharedKnowledgeCache {
         let engine = plasma_lsh::bayes::BayesLsh::new(sketches.family(), cfg.bayes);
         let threads = crate::apss::eval_threads(cfg, cands.len());
         let profiled = self.schedule_accepts(cfg.bayes.batch);
+        let max_n = sketches.n_hashes();
 
         let eval_chunk = |chunk: &[(u32, u32)]| -> ChunkOut {
             let mut table = engine.probe_table(threshold);
             let mut stats = ApssStats::default();
             let mut pairs = Vec::new();
             let mut estimates = Vec::with_capacity(chunk.len());
-            for &(i, j) in chunk {
-                let key = (i, j);
-                // Read phase: lift this pair's memos out of its stripe,
-                // refreshing its recency stamp for the eviction policy.
-                let (mut profile, known_exact) = {
-                    let mut g = self.stripe(key).lock().expect("stripe lock");
-                    match g.entries.get_mut(&key) {
-                        Some(memo) => {
-                            memo.last_used = self.clock.fetch_add(1, Ordering::Relaxed);
-                            (
-                                if profiled {
-                                    memo.profile.clone()
+            // Per-run scratch, reused across the chunk's runs.
+            let mut found = Vec::new();
+            let mut learned = Vec::new();
+            for run in chunk.chunk_by(|a, b| a.0 == b.0 && a.1 < b.1) {
+                let i = run[0].0;
+                let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+                // Read phase: one lock for the run. Full hits settle here
+                // from the memo in place; the rest carry a snapshot of
+                // their profile out. Every visited memo takes the stamp.
+                {
+                    let mut g = self.lock_row(i);
+                    let mut row = g.rows.get_mut(&i);
+                    let mut pos = 0;
+                    for &(_, j) in run {
+                        let lookup = match row.as_deref_mut().and_then(|r| r.find(&mut pos, j)) {
+                            None => Lookup::Resume(MatchProfile::new(), None),
+                            Some(memo) => {
+                                memo.last_used = stamp;
+                                let exact = memo.exact.filter(|_| cfg.exact_on_accept);
+                                if !profiled {
+                                    Lookup::Resume(MatchProfile::new(), exact)
+                                } else if let Some(est) =
+                                    table.settle_memoized(max_n, &memo.profile)
+                                {
+                                    Lookup::Settled(est, exact)
                                 } else {
-                                    MatchProfile::new()
-                                },
-                                if cfg.exact_on_accept {
-                                    memo.exact
-                                } else {
-                                    None
-                                },
-                            )
-                        }
-                        None => (MatchProfile::new(), None),
+                                    Lookup::Resume(memo.profile.clone(), exact)
+                                }
+                            }
+                        };
+                        found.push(lookup);
                     }
-                };
-                let had_profile = !profile.is_empty();
+                }
                 // Evaluate without holding any lock.
-                let (est, new_hashes) = if profiled {
-                    let out =
-                        table.evaluate_profiled(sketches, i as usize, j as usize, &mut profile);
-                    (out.estimate, out.new_hashes)
-                } else {
-                    let est = table.evaluate_pair(sketches, i as usize, j as usize);
-                    (est, est.hashes)
-                };
-                stats.hashes_compared += new_hashes as u64;
-                if new_hashes == 0 {
-                    stats.cache_hits += 1;
-                }
-                match est.decision {
-                    PairDecision::Pruned => stats.pruned += 1,
-                    PairDecision::Accepted => stats.accepted += 1,
-                    PairDecision::Exhausted => stats.exhausted += 1,
-                }
-                let mut fresh_exact = None;
-                if est.decision != PairDecision::Pruned {
-                    let similarity = if cfg.exact_on_accept {
-                        known_exact.unwrap_or_else(|| {
-                            let s = measure.compute(&records[i as usize], &records[j as usize]);
-                            fresh_exact = Some(s);
-                            s
-                        })
-                    } else {
-                        est.map_similarity
+                for (&(i, j), lookup) in run.iter().zip(found.drain(..)) {
+                    let (est, new_hashes, memo, known_exact) = match lookup {
+                        Lookup::Settled(est, exact) => (est, 0, None, exact),
+                        Lookup::Resume(mut profile, exact) if profiled => {
+                            let had_profile = !profile.is_empty();
+                            let out = table.evaluate_profiled(
+                                sketches,
+                                i as usize,
+                                j as usize,
+                                &mut profile,
+                            );
+                            // A full cache hit publishes nothing — it
+                            // re-derived only already-published knowledge.
+                            let memo = (out.new_hashes > 0 || !had_profile)
+                                .then_some((profile, out.estimate));
+                            (out.estimate, out.new_hashes, memo, exact)
+                        }
+                        Lookup::Resume(_, exact) => {
+                            let est = table.evaluate_pair(sketches, i as usize, j as usize);
+                            (est, est.hashes, None, exact)
+                        }
                     };
-                    if similarity >= threshold {
-                        pairs.push(SimilarPair { i, j, similarity });
+                    stats.hashes_compared += new_hashes as u64;
+                    if new_hashes == 0 {
+                        stats.cache_hits += 1;
                     }
+                    match est.decision {
+                        PairDecision::Pruned => stats.pruned += 1,
+                        PairDecision::Accepted => stats.accepted += 1,
+                        PairDecision::Exhausted => stats.exhausted += 1,
+                    }
+                    let mut fresh_exact = None;
+                    if est.decision != PairDecision::Pruned {
+                        let similarity = if cfg.exact_on_accept {
+                            known_exact.unwrap_or_else(|| {
+                                let s = measure.compute(&records[i as usize], &records[j as usize]);
+                                fresh_exact = Some(s);
+                                s
+                            })
+                        } else {
+                            est.map_similarity
+                        };
+                        if similarity >= threshold {
+                            pairs.push(SimilarPair { i, j, similarity });
+                        }
+                    }
+                    if memo.is_some() || fresh_exact.is_some() {
+                        learned.push(Learned {
+                            j,
+                            memo,
+                            exact: fresh_exact,
+                        });
+                    }
+                    estimates.push((i, j, est));
                 }
-                // Publish phase: fold what this evaluation learned back
-                // into the stripe. A full cache hit publishes nothing —
-                // it re-derived only already-published knowledge.
-                let memo = (profiled && (new_hashes > 0 || !had_profile)).then_some((profile, est));
-                self.publish(key, memo, fresh_exact);
-                estimates.push((i, j, est));
+                // Publish phase: one more lock, only when the run learned
+                // something.
+                if !learned.is_empty() {
+                    self.publish_row(i, stamp, learned.drain(..));
+                }
             }
             ChunkOut {
                 pairs,
@@ -1143,6 +1313,16 @@ impl SharedKnowledgeCache {
             stats,
         }
     }
+}
+
+/// What a row run's read phase found for one candidate.
+enum Lookup {
+    /// The memoized profile settles the pair (a full cache hit), with
+    /// the memoized exact similarity when the probe wants one.
+    Settled(PairEstimate, Option<f64>),
+    /// Evaluate outside the lock, resuming from this profile snapshot
+    /// (empty when unknown or when profiles do not apply).
+    Resume(MatchProfile, Option<f64>),
 }
 
 /// One worker's share of a cached probe, in chunk order.

@@ -481,6 +481,26 @@ impl ProbeTable<'_> {
             step += 1;
         }
     }
+
+    /// Replays only the memoized steps of `profile` for a pair over
+    /// sketches of `max_n` hashes: the estimate
+    /// [`evaluate_profiled`](Self::evaluate_profiled) would return when
+    /// the profile already covers the step the walk settles at (a full
+    /// cache hit, `new_hashes == 0`), or `None` when the walk runs past
+    /// the deepest covered step and needs hashes compared. Reads the
+    /// profile in place — no clone, no sketch access — so a warm cache
+    /// can settle hits under its lock without copying memos out.
+    pub fn settle_memoized(
+        &mut self,
+        max_n: usize,
+        profile: &MatchProfile,
+    ) -> Option<PairEstimate> {
+        let batch = self.engine.params.batch;
+        profile.counts.iter().enumerate().find_map(|(step, &m)| {
+            let n = ((step + 1) * batch).min(max_n);
+            self.cell(m, n as u32).settle(m, n, max_n)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -628,6 +648,43 @@ mod tests {
             let again = table.evaluate_profiled(&sk, i, j, &mut profile);
             assert_eq!(again.new_hashes, 0, "({i},{j}) re-probe must be free");
         }
+    }
+
+    #[test]
+    fn settle_memoized_matches_profiled_hits_and_defers_misses() {
+        let a = SparseVector::from_set((0..150).collect());
+        let b = SparseVector::from_set((50..200).collect());
+        let c = SparseVector::from_set((900..1050).collect());
+        let sk = Sketcher::new(LshFamily::MinHash, 256, 9).sketch_all(&[a, b, c]);
+        let e = engine(LshFamily::MinHash);
+        for &(i, j) in &[(0usize, 1usize), (0, 2), (1, 2)] {
+            let mut profile = MatchProfile::new();
+            for t in [0.95, 0.3, 0.6, 0.95, 0.1] {
+                let mut table = e.probe_table(t);
+                let settled = table.settle_memoized(sk.n_hashes(), &profile);
+                let out = table.evaluate_profiled(&sk, i, j, &mut profile);
+                match settled {
+                    // A settled replay is exactly the profiled full hit.
+                    Some(est) => {
+                        assert_eq!(out.new_hashes, 0, "({i},{j})@{t}");
+                        assert_eq!(est.decision, out.estimate.decision);
+                        assert_eq!(est.matches, out.estimate.matches);
+                        assert_eq!(est.hashes, out.estimate.hashes);
+                        assert_eq!(
+                            est.map_similarity.to_bits(),
+                            out.estimate.map_similarity.to_bits()
+                        );
+                        assert_eq!(est.variance.to_bits(), out.estimate.variance.to_bits());
+                    }
+                    // Deferring means the walk needed hashes past the memo.
+                    None => assert!(out.new_hashes > 0, "({i},{j})@{t}"),
+                }
+            }
+        }
+        assert!(e
+            .probe_table(0.5)
+            .settle_memoized(sk.n_hashes(), &MatchProfile::new())
+            .is_none());
     }
 
     #[test]
