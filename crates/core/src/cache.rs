@@ -79,7 +79,7 @@
 //! stays keyed by the epoch-0 fingerprint, so growth never duplicates a
 //! registry slot.
 //!
-//! [`Session::with_shared_cache`]: crate::session::Session::with_shared_cache
+//! [`Session::with_shared_cache`]: crate::streaming::StreamingSession::with_shared_cache
 //! [`MatchProfile`]: plasma_lsh::bayes::MatchProfile
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -1332,139 +1332,6 @@ struct ChunkOut {
     stats: ApssStats,
 }
 
-/// Single-session façade over a [`SharedKnowledgeCache`].
-///
-/// Owns an `Arc` to the shared form, so a session-private cache can later
-/// be handed to other sessions via [`shared`](Self::shared) without
-/// rebuilding sketches. The `&mut self` probe signature is kept for
-/// callers that want exclusive-use semantics; it delegates to the
-/// lock-striped implementation.
-///
-/// ```
-/// use plasma_core::apss::{build_sketches, ApssConfig};
-/// use plasma_core::KnowledgeCache;
-/// use plasma_data::datasets::gaussian::GaussianSpec;
-/// use plasma_data::similarity::Similarity;
-///
-/// let ds = GaussianSpec::new("doc", 40, 6, 2).generate(7);
-/// let cfg = ApssConfig::default();
-/// let (sketches, _) = build_sketches(&ds.records, Similarity::Cosine, &cfg);
-/// let mut cache = KnowledgeCache::new(sketches);
-/// let first = cache.probe(&ds.records, Similarity::Cosine, 0.8, &cfg);
-/// // Re-probing the same threshold is a pure cache hit: zero new hash
-/// // comparisons, identical pairs.
-/// let again = cache.probe(&ds.records, Similarity::Cosine, 0.8, &cfg);
-/// assert_eq!(again.stats.hashes_compared, 0);
-/// assert_eq!(again.stats.cache_hits, again.stats.candidates);
-/// assert_eq!(again.pairs, first.pairs);
-/// assert!(!cache.is_empty());
-/// ```
-pub struct KnowledgeCache {
-    shared: Arc<SharedKnowledgeCache>,
-}
-
-impl KnowledgeCache {
-    /// Wraps freshly built sketches with an empty, unbounded memo pool.
-    pub fn new(sketches: SketchSet) -> Self {
-        Self::with_capacity(sketches, CacheCapacity::unbounded())
-    }
-
-    /// Wraps freshly built sketches with a memo pool governed by
-    /// `capacity` (see [`SharedKnowledgeCache::with_capacity`]).
-    ///
-    /// ```
-    /// use plasma_core::apss::{build_sketches, ApssConfig};
-    /// use plasma_core::cache::CacheCapacity;
-    /// use plasma_core::KnowledgeCache;
-    /// use plasma_data::datasets::gaussian::GaussianSpec;
-    /// use plasma_data::similarity::Similarity;
-    ///
-    /// let ds = GaussianSpec::new("doc", 40, 6, 2).generate(7);
-    /// let cfg = ApssConfig::default();
-    /// let (sketches, _) = build_sketches(&ds.records, Similarity::Cosine, &cfg);
-    /// // A zero-byte cap memoizes nothing — probes still return the
-    /// // exact unbounded-cache output, they just pay fresh cost.
-    /// let mut cache = KnowledgeCache::with_capacity(sketches, CacheCapacity::bounded(0));
-    /// let first = cache.probe(&ds.records, Similarity::Cosine, 0.8, &cfg);
-    /// let again = cache.probe(&ds.records, Similarity::Cosine, 0.8, &cfg);
-    /// assert_eq!(again.pairs, first.pairs);
-    /// assert_eq!(cache.memory_stats().memo_bytes, 0);
-    /// ```
-    pub fn with_capacity(sketches: SketchSet, capacity: CacheCapacity) -> Self {
-        Self {
-            shared: Arc::new(SharedKnowledgeCache::with_capacity(sketches, capacity)),
-        }
-    }
-
-    /// The memory policy in force.
-    pub fn capacity(&self) -> CacheCapacity {
-        self.shared.capacity()
-    }
-
-    /// Memory and eviction statistics (see
-    /// [`SharedKnowledgeCache::memory_stats`]).
-    pub fn memory_stats(&self) -> CacheMemoryStats {
-        self.shared.memory_stats()
-    }
-
-    /// The underlying shareable cache; clone the `Arc` to attach more
-    /// sessions ([`crate::session::Session::with_shared_cache`]).
-    pub fn shared(&self) -> &Arc<SharedKnowledgeCache> {
-        &self.shared
-    }
-
-    /// Consumes the façade, yielding the shareable cache.
-    pub fn into_shared(self) -> Arc<SharedKnowledgeCache> {
-        self.shared
-    }
-
-    /// A snapshot of the cached sketches (see
-    /// [`SharedKnowledgeCache::sketches`]).
-    pub fn sketches(&self) -> Arc<SketchSet> {
-        self.shared.sketches()
-    }
-
-    /// Number of pairs with a memoized profile. Sums the lock stripes of
-    /// the sharded storage — O([`STRIPES`]) lock acquisitions, not O(1).
-    pub fn len(&self) -> usize {
-        self.shared.len()
-    }
-
-    /// True when no pair memos are held in any stripe.
-    pub fn is_empty(&self) -> bool {
-        self.shared.is_empty()
-    }
-
-    /// Thresholds probed so far, in append order. Owned (not borrowed):
-    /// the history lives behind the shared cache's mutex, and other
-    /// holders of [`shared`](Self::shared) may append between calls.
-    pub fn probe_history(&self) -> Vec<f64> {
-        self.shared.probe_history()
-    }
-
-    /// The most-refined decision record memoized for a pair, if any (see
-    /// [`SharedKnowledgeCache::get`] for the decision-threshold caveat).
-    pub fn get(&self, i: u32, j: u32) -> Option<PairEstimate> {
-        self.shared.get(i, j)
-    }
-
-    /// Owned snapshot of all memoized decision records.
-    pub fn snapshot_estimates(&self) -> Vec<((u32, u32), PairEstimate)> {
-        self.shared.snapshot_estimates()
-    }
-
-    /// Runs a cached probe; see [`SharedKnowledgeCache::probe`].
-    pub fn probe(
-        &mut self,
-        records: &[SparseVector],
-        measure: Similarity,
-        threshold: f64,
-        cfg: &ApssConfig,
-    ) -> ApssResult {
-        self.shared.probe(records, measure, threshold, cfg)
-    }
-}
-
 /// Capacity limits for a [`CacheRegistry`]: how many dataset caches a
 /// serving process keeps resident, and how many total bytes (sketches +
 /// accounted memos, summed over every registered cache) they may hold.
@@ -1837,6 +1704,11 @@ impl CacheRegistry {
     /// Opens a [`crate::session::Session`] attached to this registry's
     /// cache for the dataset (building it if needed) — the one-call path
     /// for "another user starts exploring the same corpus".
+    ///
+    /// # Panics
+    ///
+    /// Panics when the registered lineage has grown past `records` (see
+    /// [`crate::streaming::StreamingSession::with_shared_cache`]).
     pub fn session(
         &self,
         records: Vec<SparseVector>,
@@ -1950,7 +1822,7 @@ mod tests {
         let records = dataset();
         let cfg = ApssConfig::default();
         let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
-        let mut cache = KnowledgeCache::new(sketches.clone());
+        let cache = SharedKnowledgeCache::new(sketches.clone());
         let first = cache.probe(&records, Similarity::Cosine, 0.9, &cfg);
         let second = cache.probe(&records, Similarity::Cosine, 0.6, &cfg);
         let fresh_hi = apss_with_sketches(&records, Similarity::Cosine, &sketches, 0.9, &cfg);
@@ -1966,7 +1838,7 @@ mod tests {
         let records = dataset();
         let cfg = ApssConfig::default();
         let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
-        let mut cache = KnowledgeCache::new(sketches);
+        let cache = SharedKnowledgeCache::new(sketches);
         cache.probe(&records, Similarity::Cosine, 0.95, &cfg);
         let cached = cache.probe(&records, Similarity::Cosine, 0.9, &cfg);
         let fresh = apss(&records, Similarity::Cosine, 0.9, &cfg);
@@ -1983,7 +1855,7 @@ mod tests {
         let records = dataset();
         let cfg = ApssConfig::default();
         let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
-        let mut cache = KnowledgeCache::new(sketches);
+        let cache = SharedKnowledgeCache::new(sketches);
         cache.probe(&records, Similarity::Cosine, 0.9, &cfg);
         cache.probe(&records, Similarity::Cosine, 0.5, &cfg);
         assert_eq!(cache.probe_history(), vec![0.9, 0.5]);
@@ -1996,7 +1868,7 @@ mod tests {
         let records = dataset();
         let cfg = ApssConfig::default();
         let (sketches, _) = build_sketches(&records, Similarity::Cosine, &cfg);
-        let mut cache = KnowledgeCache::new(sketches);
+        let cache = SharedKnowledgeCache::new(sketches);
         let r = cache.probe(&records, Similarity::Cosine, 0.8, &cfg);
         let (i, j, est) = r.estimates[0];
         let cached = cache.get(i, j).expect("estimate must be memoized");

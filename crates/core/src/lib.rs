@@ -21,11 +21,12 @@
 //!   memoized estimates.
 //! * [`incremental`] — streaming pair-count estimates after each fraction
 //!   of the dataset processed (Figs. 2.6–2.8).
-//! * [`streaming`] — the streaming ingest engine: a [`StreamingSession`]
-//!   interleaves `ingest` (epoch-versioned batch-extend sketching) and
-//!   `probe` over a growing corpus, with the knowledge cache carrying
-//!   every old-pair memo across each epoch bump. Streamed probes are
-//!   bit-identical to cold batch runs over the same corpus.
+//! * [`streaming`] — the one session implementation: a
+//!   [`StreamingSession`] interleaves `ingest` (epoch-versioned
+//!   batch-extend sketching) and `probe` over a corpus that may grow,
+//!   with the knowledge cache carrying every old-pair memo across each
+//!   epoch bump. Every probe reports the epoch it evaluated, and is
+//!   bit-identical to a cold run over the corpus as of that epoch.
 //! * [`watch`] — continuous probes: `watch(threshold)` subscriptions that
 //!   receive only the per-epoch *delta* on every ingest ([`WatchDelta`]),
 //!   with concatenated deltas bit-identical to a cold probe at every
@@ -38,7 +39,8 @@
 //!   [`durable::DurableError`] — it can never change probe outputs.
 //! * [`cues`] — dimensionless visual cues: triangle vertex-cover histogram
 //!   and clique/triangle density plots (Fig. 2.5).
-//! * [`session`] — the interactive driver tying it all together.
+//! * [`session`] — the interactive loop's vocabulary: [`Session`] (the
+//!   paper's name for a [`StreamingSession`]) and its [`ProbeReport`].
 //! * [`plot`] — ASCII and SVG renderers for the cues and curves.
 //!
 //! # Parallel engine
@@ -77,8 +79,8 @@ pub mod watch;
 
 pub use apss::{ApssConfig, ApssResult, CandidateStrategy};
 pub use cache::{
-    CacheCapacity, CacheMemoryStats, CacheRegistry, EvictionPolicy, KnowledgeCache,
-    RegistryCapacity, SharedKnowledgeCache,
+    CacheCapacity, CacheMemoryStats, CacheRegistry, EvictionPolicy, RegistryCapacity,
+    SharedKnowledgeCache,
 };
 pub use cumulative::CumulativeCurve;
 pub use durable::{CorpusStore, DurableError, RecoveredCorpus, WalSyncStats, WAL_HEADER_BYTES};

@@ -1,48 +1,26 @@
 //! The interactive session driver (Fig. 2.1's workflow).
 //!
 //! A [`Session`] owns a dataset and (a handle to) its knowledge cache.
-//! Each [`probe`](Session::probe) runs BayesLSH APSS at a threshold,
-//! memoizes everything, and returns a [`ProbeReport`] carrying the pair
-//! count, the updated Cumulative APSS Graph (with error bars), the
-//! triangle/density cues, and timing — the full feedback loop a user
-//! iterates on. Probes after the first reuse sketches and pair memos, so
-//! they are cheap; that asymmetry is the knowledge-caching result of
-//! §2.3.3.
+//! Each [`probe`](crate::streaming::StreamingSession::probe) runs
+//! BayesLSH APSS at a threshold, memoizes everything, and returns a
+//! [`ProbeReport`] carrying the pair count, the updated Cumulative APSS
+//! Graph (with error bars), the epoch it evaluated, and timing — the
+//! full feedback loop a user iterates on; the triangle/density cues
+//! follow from its pairs. Probes after the first reuse sketches and pair
+//! memos, so they are cheap; that asymmetry is the knowledge-caching
+//! result of §2.3.3.
 //!
-//! # Multi-session probing
-//!
-//! The cache behind a session is a [`SharedKnowledgeCache`]: hand its
-//! `Arc` to [`Session::with_shared_cache`] (or open sessions through a
-//! [`crate::cache::CacheRegistry`]) and any number of sessions — on any
-//! number of threads — probe the same corpus while sharing one sketch set
-//! and one memo pool. Each session keeps its *own* cumulative curve and
-//! threshold grid; only the expensive knowledge is shared. Probe results
-//! are bit-identical to what a private cache would return (see
-//! [`SharedKnowledgeCache::probe`]), and stay so when the pool is
-//! memory-bounded ([`Session::with_cache_capacity`],
-//! [`crate::cache::CacheCapacity`]) — eviction trades cache hits for
-//! memory, never results.
-//!
-//! A `Session` serves a corpus that is fixed for its lifetime; when
-//! records arrive *while* users probe, use the epoch-versioned streaming
-//! driver ([`crate::streaming::StreamingSession`]), which interleaves
-//! `ingest`/`probe` over a growing corpus and carries old-pair memos
-//! across every growth epoch.
+//! There is one session type: `Session` is another name for
+//! [`StreamingSession`], whose corpus may also grow by `ingest` while
+//! users probe it (see [`crate::streaming`] for epochs, forks, and
+//! shared caches).
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use plasma_data::datasets::Dataset;
-use plasma_data::similarity::Similarity;
-use plasma_data::vector::SparseVector;
-use plasma_lsh::family::LshFamily;
-
-use crate::apss::{build_sketches, ApssConfig, SimilarPair};
-use crate::cache::{CacheCapacity, SharedKnowledgeCache};
-use crate::cues::{self, DensityPlot, TriangleCue};
+use crate::apss::SimilarPair;
 use crate::cumulative::CumulativeCurve;
+use crate::streaming::StreamingSession;
 
-/// An interactive PLASMA-HD session over one dataset.
+/// An interactive PLASMA-HD session over one dataset — the name the
+/// paper's probe loop uses for a [`StreamingSession`] that never ingests.
 ///
 /// ```
 /// use plasma_core::{ApssConfig, Session};
@@ -63,24 +41,18 @@ use crate::cumulative::CumulativeCurve;
 /// assert_eq!(again.cache_hits, again.candidates);
 /// assert_eq!(again.pairs, first.pairs);
 /// ```
-pub struct Session {
-    records: Vec<SparseVector>,
-    measure: Similarity,
-    cfg: ApssConfig,
-    cache: Option<Arc<SharedKnowledgeCache>>,
-    /// Memory policy for the cache this session builds on first probe
-    /// (ignored when a shared cache is attached — the pool's owner chose).
-    cache_capacity: CacheCapacity,
-    grid: Vec<f64>,
-    sketch_seconds: f64,
-    curve: Option<CumulativeCurve>,
-}
+pub type Session = StreamingSession;
 
 /// What one probe returns to the user.
 #[derive(Debug, Clone)]
 pub struct ProbeReport {
     /// The probed threshold.
     pub threshold: f64,
+    /// The corpus epoch the probe evaluated: the sketch snapshot it read
+    /// covers exactly the records ingested up to this epoch (0 before any
+    /// growth). Read under the same corpus read guard the probe held, so
+    /// a concurrent ingest can never mislabel it.
+    pub epoch: u64,
     /// Pairs meeting the threshold.
     pub pairs: Vec<SimilarPair>,
     /// Updated Cumulative APSS Graph estimate (merged across probes).
@@ -100,296 +72,12 @@ pub struct ProbeReport {
     pub hashes_compared: u64,
 }
 
-impl Session {
-    /// Opens a session over a dataset.
-    pub fn new(dataset: &Dataset, cfg: ApssConfig) -> Self {
-        Self::from_records(dataset.records.clone(), dataset.measure, cfg)
-    }
-
-    /// Opens a session over raw records.
-    pub fn from_records(records: Vec<SparseVector>, measure: Similarity, cfg: ApssConfig) -> Self {
-        let lo = match measure {
-            Similarity::Jaccard => 0.05,
-            Similarity::Cosine => 0.05,
-        };
-        Self {
-            records,
-            measure,
-            cfg,
-            cache: None,
-            cache_capacity: CacheCapacity::unbounded(),
-            grid: crate::cumulative::default_grid(lo),
-            sketch_seconds: 0.0,
-            curve: None,
-        }
-    }
-
-    /// Overrides the threshold grid for the cumulative curve.
-    pub fn with_grid(mut self, grid: Vec<f64>) -> Self {
-        self.grid = grid;
-        self
-    }
-
-    /// Pins the worker-thread count for this session's probes (`None` =
-    /// all cores, `Some(1)` = sequential). Probe results are bit-identical
-    /// at every setting; only latency changes.
-    pub fn with_parallelism(mut self, parallelism: Option<usize>) -> Self {
-        self.cfg.parallelism = parallelism;
-        self
-    }
-
-    /// Sets the banded join's [`plasma_lsh::ShardPolicy`] — how hot band buckets are
-    /// split across workers when this session's candidate strategy is
-    /// [`crate::apss::CandidateStrategy::Banded`]. Probe results are
-    /// bit-identical at every policy; only how candidate generation
-    /// parallelizes changes. Pass
-    /// [`ShardPolicy::adaptive()`](plasma_lsh::ShardPolicy::adaptive) to
-    /// derive the per-shard pair budget from the join's measured load at
-    /// plan time instead of picking numbers by hand.
-    ///
-    /// ```
-    /// use plasma_core::apss::CandidateStrategy;
-    /// use plasma_core::{ApssConfig, Session, ShardPolicy};
-    /// use plasma_data::datasets::gaussian::GaussianSpec;
-    ///
-    /// let ds = GaussianSpec::new("doc", 40, 6, 2).generate(7);
-    /// let cfg = ApssConfig {
-    ///     candidates: CandidateStrategy::Banded { bands: 8, width: 8 },
-    ///     ..ApssConfig::default()
-    /// };
-    /// let mut sharded = Session::new(&ds, cfg).with_shard_policy(ShardPolicy::new(2, 64));
-    /// let mut unsharded = Session::new(&ds, cfg).with_shard_policy(ShardPolicy::never_split());
-    /// assert_eq!(sharded.probe(0.8).pairs, unsharded.probe(0.8).pairs);
-    /// ```
-    pub fn with_shard_policy(mut self, policy: plasma_lsh::ShardPolicy) -> Self {
-        self.cfg.shard = policy;
-        self
-    }
-
-    /// Bounds the memo pool of the knowledge cache this session builds on
-    /// its first probe. Probe reports are bit-identical at every capacity
-    /// — eviction only trades cache hits for memory (see
-    /// [`CacheCapacity`]). No effect on a cache attached via
-    /// [`with_shared_cache`](Self::with_shared_cache): a shared pool's
-    /// policy belongs to whoever built it.
-    ///
-    /// ```
-    /// use plasma_core::cache::CacheCapacity;
-    /// use plasma_core::{ApssConfig, Session};
-    /// use plasma_data::datasets::gaussian::GaussianSpec;
-    ///
-    /// let ds = GaussianSpec::new("doc", 40, 6, 2).generate(7);
-    /// let mut bounded = Session::new(&ds, ApssConfig::default())
-    ///     .with_cache_capacity(CacheCapacity::bounded(32 << 10));
-    /// let mut unbounded = Session::new(&ds, ApssConfig::default());
-    /// let a = bounded.probe(0.8);
-    /// let b = unbounded.probe(0.8);
-    /// assert_eq!(a.pairs, b.pairs, "capacity never changes results");
-    /// let stats = bounded.cache().expect("probed").memory_stats();
-    /// assert!(stats.memo_bytes <= 32 << 10);
-    /// ```
-    pub fn with_cache_capacity(mut self, capacity: CacheCapacity) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Attaches this session to an existing shared knowledge cache, so it
-    /// joins every other session holding the same `Arc` in one sketch set
-    /// and one memo pool — the multi-user serving shape. The first probe
-    /// then pays **no** sketch cost.
-    ///
-    /// The cache must have been built over this session's dataset: same
-    /// record count and a hash family matching the session's similarity
-    /// measure (use [`crate::cache::CacheRegistry`] to get this pairing
-    /// by construction).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cache's sketch count or hash family disagrees with
-    /// the session's records and measure.
-    ///
-    /// ```
-    /// use plasma_core::{ApssConfig, Session};
-    /// use plasma_data::datasets::gaussian::GaussianSpec;
-    ///
-    /// let ds = GaussianSpec::new("doc", 40, 6, 2).generate(7);
-    /// let mut first = Session::new(&ds, ApssConfig::default());
-    /// first.probe(0.8);
-    ///
-    /// // A second user opens a session over the same corpus, sharing the
-    /// // first session's cache: no sketching, and the 0.8 re-probe is
-    /// // answered without comparing a single hash.
-    /// let cache = first.shared_cache().expect("probed above");
-    /// let mut second = Session::new(&ds, ApssConfig::default()).with_shared_cache(cache);
-    /// let report = second.probe(0.8);
-    /// assert_eq!(report.sketch_seconds, 0.0);
-    /// assert_eq!(report.hashes_compared, 0);
-    /// ```
-    pub fn with_shared_cache(mut self, cache: Arc<SharedKnowledgeCache>) -> Self {
-        let sketched = cache.sketches().len();
-        assert!(
-            sketched == self.records.len(),
-            "shared cache sketches {} records, session has {}{}",
-            sketched,
-            self.records.len(),
-            if cache.epoch() > 0 {
-                " — the cache has grown past this session's corpus (streamed \
-                 ingest); open a crate::streaming::StreamingSession over the \
-                 grown corpus instead of a batch Session over a stale prefix"
-            } else {
-                ""
-            }
-        );
-        assert_eq!(
-            cache.sketches().family(),
-            LshFamily::for_measure(self.measure),
-            "shared cache hash family does not serve this session's measure"
-        );
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Number of records in the session's dataset.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when the dataset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// The similarity measure in use.
-    pub fn measure(&self) -> Similarity {
-        self.measure
-    }
-
-    /// The records (read-only).
-    pub fn records(&self) -> &[SparseVector] {
-        &self.records
-    }
-
-    /// Probes the data at `threshold`, reusing the knowledge cache.
-    ///
-    /// Every layer of reuse lives in the cache, not the session: pair
-    /// memos deepen across thresholds, and a banded probe's band
-    /// buckets are built once per corpus and carried in the cache —
-    /// a second identical-shape probe (this session or any sibling on
-    /// the same shared cache) builds zero buckets, which the
-    /// `bucket_build_records` counter in
-    /// [`crate::cache::CacheMemoryStats`] exposes and the watch
-    /// differential suite pins.
-    pub fn probe(&mut self, threshold: f64) -> ProbeReport {
-        let start = Instant::now();
-        let mut sketch_secs = 0.0;
-        if self.cache.is_none() {
-            let (sketches, secs) = build_sketches(&self.records, self.measure, &self.cfg);
-            sketch_secs = secs;
-            self.sketch_seconds = secs;
-            self.cache = Some(Arc::new(SharedKnowledgeCache::with_capacity(
-                sketches,
-                self.cache_capacity,
-            )));
-        }
-        let cache = self.cache.as_ref().expect("cache initialized above");
-        let result = cache.probe(&self.records, self.measure, threshold, &self.cfg);
-        fold_probe_report(
-            self.measure,
-            self.cfg.bayes,
-            &self.grid,
-            &mut self.curve,
-            result,
-            start.elapsed().as_secs_f64(),
-            sketch_secs,
-        )
-    }
-
-    /// The current Cumulative APSS Graph, if any probe has run.
-    pub fn curve(&self) -> Option<&CumulativeCurve> {
-        self.curve.as_ref()
-    }
-
-    /// Suggests the next threshold to probe: the knee of the current curve
-    /// (§2.2.2's "the user then notices the knee … and investigating it,
-    /// selects a new similarity threshold").
-    pub fn suggest_next_threshold(&self) -> Option<f64> {
-        let curve = self.curve.as_ref()?;
-        curve.knee().map(|k| curve.thresholds[k])
-    }
-
-    /// Triangle cue for the graph induced by a probe's pairs.
-    pub fn triangle_cue(&self, pairs: &[SimilarPair]) -> TriangleCue {
-        cues::triangle_cue(&cues::pairs_to_graph(self.records.len(), pairs))
-    }
-
-    /// Density plot for the graph induced by a probe's pairs.
-    pub fn density_plot(&self, pairs: &[SimilarPair]) -> DensityPlot {
-        cues::density_plot(&cues::pairs_to_graph(self.records.len(), pairs))
-    }
-
-    /// Seconds spent building sketches (0 until the first probe).
-    pub fn sketch_seconds(&self) -> f64 {
-        self.sketch_seconds
-    }
-
-    /// The knowledge cache, if initialized (by a probe or by
-    /// [`with_shared_cache`](Self::with_shared_cache)).
-    pub fn cache(&self) -> Option<&SharedKnowledgeCache> {
-        self.cache.as_deref()
-    }
-
-    /// A shareable handle to this session's knowledge cache, for opening
-    /// further sessions over the same corpus
-    /// ([`with_shared_cache`](Self::with_shared_cache)). `None` until the
-    /// first probe initializes the cache.
-    pub fn shared_cache(&self) -> Option<Arc<SharedKnowledgeCache>> {
-        self.cache.clone()
-    }
-}
-
-/// Folds one probe's estimates into a session's cumulative curve and
-/// assembles the user-facing [`ProbeReport`] — the shared tail of
-/// [`Session::probe`] and the streaming driver's
-/// [`crate::streaming::StreamingSession::probe`], so both report the
-/// exact same shape from the same probe result.
-pub(crate) fn fold_probe_report(
-    measure: Similarity,
-    bayes: plasma_lsh::BayesParams,
-    grid: &[f64],
-    curve: &mut Option<CumulativeCurve>,
-    result: crate::apss::ApssResult,
-    seconds: f64,
-    sketch_seconds: f64,
-) -> ProbeReport {
-    let family = LshFamily::for_measure(measure);
-    let probe_curve = CumulativeCurve::from_estimates(
-        family,
-        bayes,
-        result.estimates.iter().map(|(_, _, e)| e),
-        grid,
-    );
-    let merged = match curve.as_ref() {
-        Some(prev) => prev.merge_min_variance(&probe_curve),
-        None => probe_curve,
-    };
-    *curve = Some(merged.clone());
-    ProbeReport {
-        threshold: result.threshold,
-        pairs: result.pairs,
-        curve: merged,
-        seconds,
-        sketch_seconds,
-        candidates: result.stats.candidates,
-        pruned: result.stats.pruned,
-        cache_hits: result.stats.cache_hits,
-        hashes_compared: result.stats.hashes_compared,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apss::ApssConfig;
     use plasma_data::datasets::gaussian::GaussianSpec;
+    use plasma_data::datasets::Dataset;
     use plasma_data::similarity::pair_counts_at_thresholds;
 
     fn dataset() -> Dataset {

@@ -1,11 +1,12 @@
-//! Streaming ingest: probing a corpus that grows while sessions run.
+//! The interactive session: probing a corpus that may grow while users
+//! probe it.
 //!
-//! The batch [`Session`](crate::session::Session) assumes the corpus is
-//! fixed at session start. This module removes that assumption for
-//! insert-heavy workloads: a [`StreamingSession`] interleaves
-//! [`ingest`](StreamingSession::ingest) (append a batch of records) and
-//! [`probe`](StreamingSession::probe) (BayesLSH APSS at a threshold) over
-//! one shared, growing corpus.
+//! A [`StreamingSession`] — also spelled [`Session`](crate::session::Session)
+//! — owns (a handle to) one corpus and its knowledge cache, and
+//! interleaves [`ingest`](StreamingSession::ingest) (append a batch of
+//! records) and [`probe`](StreamingSession::probe) (BayesLSH APSS at a
+//! threshold). A session that never ingests is the paper's fixed-corpus
+//! loop (Fig. 2.1).
 //!
 //! # Epoch lineage
 //!
@@ -35,12 +36,14 @@
 //! decision counters — at every thread count, [`ShardPolicy`], and
 //! session count. Carried memos change only the work counters
 //! (`hashes_compared` shrinks, `cache_hits` grows), exactly like any
-//! warm cache. `crates/core/tests/streaming_differential.rs` pins the
-//! guarantee over batch-split × parallelism × session grids.
+//! warm cache. Every [`ProbeReport`] names the epoch it evaluated, so a
+//! caller never has to guess which prefix an answer covers.
+//! `crates/core/tests/streaming_differential.rs` pins the guarantee over
+//! batch-split × parallelism × session grids.
 //!
 //! [`ShardPolicy`]: plasma_lsh::ShardPolicy
 //!
-//! # Multi-session streaming
+//! # Multi-session probing
 //!
 //! [`StreamingSession::fork`] opens another session over the same
 //! corpus: records live behind one `RwLock` shared by all forks, and the
@@ -48,7 +51,13 @@
 //! next probe sees the grown corpus and the carried memos. In-flight
 //! probes pin a consistent `(records, sketches)` snapshot under the
 //! corpus read lock, so ingest (which takes the write lock) simply waits
-//! for them rather than tearing them.
+//! for them rather than tearing them. Sessions over *separate* record
+//! stores can still share one memo pool through
+//! [`with_shared_cache`](StreamingSession::with_shared_cache) (or a
+//! [`crate::cache::CacheRegistry`]); each session keeps its own
+//! cumulative curve and threshold grid, and probe results are
+//! bit-identical to a private cache's, bounded pool or not
+//! ([`crate::cache::CacheCapacity`]).
 
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
@@ -59,11 +68,16 @@ use plasma_data::vector::SparseVector;
 use plasma_lsh::family::LshFamily;
 use plasma_lsh::sketch::{SketchSet, Sketcher};
 
-use crate::apss::{build_sketches, ApssConfig};
+use crate::apss::{build_sketches, ApssConfig, SimilarPair};
 use crate::cache::{CacheCapacity, SharedKnowledgeCache};
+use crate::cues::{self, DensityPlot, TriangleCue};
 use crate::cumulative::CumulativeCurve;
-use crate::session::{fold_probe_report, ProbeReport};
+use crate::session::ProbeReport;
 use crate::watch::{WatchHandle, WatchRegistry};
+
+/// Lowest threshold of the default cumulative-curve grid, for both
+/// measures.
+const DEFAULT_GRID_LO: f64 = 0.05;
 
 /// The growth state every fork of a streaming session shares: the record
 /// store (authoritative, behind one lock) and the knowledge cache whose
@@ -131,14 +145,13 @@ pub struct IngestReport {
     pub snapshot_clone_bytes: usize,
 }
 
-/// An interactive session over a **growing** corpus — the streaming
-/// sibling of [`Session`](crate::session::Session).
+/// An interactive PLASMA-HD session over a corpus that may grow.
 ///
 /// `ingest` appends a batch of records (amortized parallel sketching, one
 /// epoch bump), `probe` runs BayesLSH APSS over everything ingested so
 /// far, and the knowledge cache carries every old-pair memo across each
-/// epoch. Probe outputs are bit-identical to a cold batch run over the
-/// same corpus; only the work counters show the carried knowledge.
+/// epoch. Probe outputs are bit-identical to a cold run over the same
+/// corpus; only the work counters show the carried knowledge.
 ///
 /// ```
 /// use plasma_core::streaming::StreamingSession;
@@ -149,15 +162,16 @@ pub struct IngestReport {
 /// let (head, tail) = ds.records.split_at(40);
 ///
 /// let mut s = StreamingSession::from_records(head.to_vec(), ds.measure, ApssConfig::default());
-/// s.probe(0.8);
+/// assert_eq!(s.probe(0.8).epoch, 0);
 ///
 /// // Records arrive while the session is live: one epoch bump.
 /// let grew = s.ingest(tail);
 /// assert_eq!((grew.records_added, grew.epoch), (tail.len(), 1));
 /// assert!(grew.carried_memos > 0, "old-pair memos survive the bump");
 ///
-/// // The grown probe equals a cold batch run over the full corpus…
+/// // The grown probe equals a cold run over the full corpus…
 /// let after = s.probe(0.8);
+/// assert_eq!(after.epoch, 1);
 /// let mut cold = Session::from_records(ds.records.clone(), ds.measure, ApssConfig::default());
 /// assert_eq!(after.pairs, cold.probe(0.8).pairs);
 /// // …and the carried memos answered every old pair without hashing.
@@ -173,19 +187,15 @@ pub struct StreamingSession {
 }
 
 impl StreamingSession {
-    /// Opens a streaming session seeded with a dataset's records.
+    /// Opens a session seeded with a dataset's records.
     pub fn new(dataset: &Dataset, cfg: ApssConfig) -> Self {
         Self::from_records(dataset.records.clone(), dataset.measure, cfg)
     }
 
-    /// Opens a streaming session over raw records — pass an empty `Vec`
-    /// to start from nothing and build the corpus entirely by ingest.
-    /// Sketches are built lazily on the first ingest or probe.
+    /// Opens a session over raw records — pass an empty `Vec` to start
+    /// from nothing and build the corpus entirely by ingest. Sketches are
+    /// built lazily on the first ingest or probe.
     pub fn from_records(records: Vec<SparseVector>, measure: Similarity, cfg: ApssConfig) -> Self {
-        let lo = match measure {
-            Similarity::Jaccard => 0.05,
-            Similarity::Cosine => 0.05,
-        };
         Self {
             corpus: Arc::new(StreamingCorpus {
                 measure,
@@ -196,7 +206,7 @@ impl StreamingSession {
                 watches: WatchRegistry::new(),
             }),
             cfg,
-            grid: crate::cumulative::default_grid(lo),
+            grid: crate::cumulative::default_grid(DEFAULT_GRID_LO),
             curve: None,
         }
     }
@@ -209,29 +219,69 @@ impl StreamingSession {
 
     /// Pins the worker-thread count for this session's ingests and probes
     /// (`None` = all cores, `Some(1)` = sequential). Sketches, probe
-    /// outputs, and carried memos are bit-identical at every setting.
+    /// outputs, and carried memos are bit-identical at every setting;
+    /// only latency changes.
     pub fn with_parallelism(mut self, parallelism: Option<usize>) -> Self {
         self.cfg.parallelism = parallelism;
         self
     }
 
-    /// Sets the banded join's [`plasma_lsh::ShardPolicy`] for this
-    /// session's probes (see
-    /// [`Session::with_shard_policy`](crate::session::Session::with_shard_policy)).
+    /// Sets the banded join's [`plasma_lsh::ShardPolicy`] — how hot band
+    /// buckets are split across workers when this session's candidate
+    /// strategy is [`crate::apss::CandidateStrategy::Banded`]. Probe
+    /// results are bit-identical at every policy; only how candidate
+    /// generation parallelizes changes. Pass
+    /// [`ShardPolicy::adaptive()`](plasma_lsh::ShardPolicy::adaptive) to
+    /// derive the per-shard pair budget from the join's measured load at
+    /// plan time instead of picking numbers by hand.
+    ///
+    /// ```
+    /// use plasma_core::apss::CandidateStrategy;
+    /// use plasma_core::{ApssConfig, Session, ShardPolicy};
+    /// use plasma_data::datasets::gaussian::GaussianSpec;
+    ///
+    /// let ds = GaussianSpec::new("doc", 40, 6, 2).generate(7);
+    /// let cfg = ApssConfig {
+    ///     candidates: CandidateStrategy::Banded { bands: 8, width: 8 },
+    ///     ..ApssConfig::default()
+    /// };
+    /// let mut sharded = Session::new(&ds, cfg).with_shard_policy(ShardPolicy::new(2, 64));
+    /// let mut unsharded = Session::new(&ds, cfg).with_shard_policy(ShardPolicy::never_split());
+    /// assert_eq!(sharded.probe(0.8).pairs, unsharded.probe(0.8).pairs);
+    /// ```
     pub fn with_shard_policy(mut self, policy: plasma_lsh::ShardPolicy) -> Self {
         self.cfg.shard = policy;
         self
     }
 
     /// Bounds the memo pool of the cache this corpus builds on first use.
-    /// Carried memos obey the cap like any others: an epoch bump never
-    /// evicts by itself, but a tiny cap may evict carried memos at the
-    /// next publication — changing work counters, never probe outputs.
+    /// Probe reports are bit-identical at every capacity — eviction only
+    /// trades cache hits for memory (see [`CacheCapacity`]). Carried
+    /// memos obey the cap like any others: an epoch bump never evicts by
+    /// itself, but a tiny cap may evict carried memos at the next
+    /// publication.
+    ///
+    /// ```
+    /// use plasma_core::cache::CacheCapacity;
+    /// use plasma_core::{ApssConfig, Session};
+    /// use plasma_data::datasets::gaussian::GaussianSpec;
+    ///
+    /// let ds = GaussianSpec::new("doc", 40, 6, 2).generate(7);
+    /// let mut bounded = Session::new(&ds, ApssConfig::default())
+    ///     .with_cache_capacity(CacheCapacity::bounded(32 << 10));
+    /// let mut unbounded = Session::new(&ds, ApssConfig::default());
+    /// let a = bounded.probe(0.8);
+    /// let b = unbounded.probe(0.8);
+    /// assert_eq!(a.pairs, b.pairs, "capacity never changes results");
+    /// let stats = bounded.cache().expect("probed").memory_stats();
+    /// assert!(stats.memo_bytes <= 32 << 10);
+    /// ```
     ///
     /// # Panics
     ///
     /// Panics if the corpus cache already exists (set the capacity before
-    /// the first ingest/probe, and before attaching a shared cache).
+    /// the first ingest/probe, and before attaching a shared cache — a
+    /// shared pool's policy belongs to whoever built it).
     pub fn with_cache_capacity(self, capacity: CacheCapacity) -> Self {
         assert!(
             self.corpus.cache.get().is_none(),
@@ -242,7 +292,12 @@ impl StreamingSession {
     }
 
     /// Attaches an existing shared cache (typically obtained from a
-    /// [`crate::cache::CacheRegistry`]) instead of building a fresh one.
+    /// [`crate::cache::CacheRegistry`] or another session's
+    /// [`shared_cache`](Self::shared_cache)) instead of building a fresh
+    /// one, so this session joins every other holder of the `Arc` in one
+    /// sketch set and one memo pool — the multi-user serving shape. The
+    /// first probe then pays **no** sketch cost.
+    ///
     /// The cache must cover exactly the records ingested so far, with a
     /// hash family, hash count, and **hash seed** matching the session's
     /// measure and config — ingest extends the cache's sketches with this
@@ -250,6 +305,24 @@ impl StreamingSession {
     /// poison every cross-batch pair estimate. Subsequent ingests grow
     /// the cache in place, so the registry keeps serving the same
     /// lineage.
+    ///
+    /// ```
+    /// use plasma_core::{ApssConfig, Session};
+    /// use plasma_data::datasets::gaussian::GaussianSpec;
+    ///
+    /// let ds = GaussianSpec::new("doc", 40, 6, 2).generate(7);
+    /// let mut first = Session::new(&ds, ApssConfig::default());
+    /// first.probe(0.8);
+    ///
+    /// // A second user opens a session over the same corpus, sharing the
+    /// // first session's cache: no sketching, and the 0.8 re-probe is
+    /// // answered without comparing a single hash.
+    /// let cache = first.shared_cache().expect("probed above");
+    /// let mut second = Session::new(&ds, ApssConfig::default()).with_shared_cache(cache);
+    /// let report = second.probe(0.8);
+    /// assert_eq!(report.sketch_seconds, 0.0);
+    /// assert_eq!(report.hashes_compared, 0);
+    /// ```
     ///
     /// # Panics
     ///
@@ -260,12 +333,18 @@ impl StreamingSession {
         {
             let records = self.corpus.records.read().expect("corpus lock");
             let sketches = cache.sketches();
-            assert_eq!(
+            assert!(
+                sketches.len() == records.len(),
+                "shared cache sketches {} records, session has {}{}",
                 sketches.len(),
                 records.len(),
-                "shared cache sketches {} records, streaming corpus has {}",
-                sketches.len(),
-                records.len()
+                if cache.epoch() > 0 {
+                    " — the cache has grown past this session's corpus (streamed \
+                     ingest); fork the session that grew it instead of attaching \
+                     a stale prefix"
+                } else {
+                    ""
+                }
             );
             assert_eq!(
                 sketches.family(),
@@ -363,29 +442,54 @@ impl StreamingSession {
         }
     }
 
-    /// Probes everything ingested so far at `threshold`, reusing carried
-    /// memos for every pair of pre-growth records. The report is
-    /// bit-identical (pairs, estimates, curve, decision counters) to a
-    /// batch [`Session`](crate::session::Session) probing the same corpus
-    /// cold; carried knowledge shows up only in `cache_hits` and
-    /// `hashes_compared`.
+    /// Probes everything ingested so far at `threshold`, reusing the
+    /// knowledge cache. The report is bit-identical (pairs, estimates,
+    /// curve, decision counters) to a fresh session probing the same
+    /// corpus cold; carried knowledge shows up only in `cache_hits` and
+    /// `hashes_compared`, and [`ProbeReport::epoch`] names the corpus
+    /// epoch the probe evaluated.
+    ///
+    /// Every layer of reuse lives in the cache, not the session: pair
+    /// memos deepen across thresholds, and a banded probe's band buckets
+    /// are built once per corpus and carried in the cache — a second
+    /// identical-shape probe (this session or any sibling on the same
+    /// shared cache) builds zero buckets, which the
+    /// `bucket_build_records` counter in
+    /// [`crate::cache::CacheMemoryStats`] exposes.
     pub fn probe(&mut self, threshold: f64) -> ProbeReport {
         let start = Instant::now();
         let corpus = self.corpus.clone();
         let records: RwLockReadGuard<'_, Vec<SparseVector>> =
             corpus.records.read().expect("corpus lock");
-        let (cache, sketch_secs) = corpus.ensure_cache(&records);
+        let (cache, sketch_seconds) = corpus.ensure_cache(&records);
         let result = cache.probe(&records, corpus.measure, threshold, &self.cfg);
+        // Growth needs the write guard, so this is the epoch just probed.
+        let epoch = cache.epoch();
         drop(records);
-        fold_probe_report(
-            corpus.measure,
+        let seconds = start.elapsed().as_secs_f64();
+        let probe_curve = CumulativeCurve::from_estimates(
+            LshFamily::for_measure(corpus.measure),
             self.cfg.bayes,
+            result.estimates.iter().map(|(_, _, e)| e),
             &self.grid,
-            &mut self.curve,
-            result,
-            start.elapsed().as_secs_f64(),
-            sketch_secs,
-        )
+        );
+        let merged = match &self.curve {
+            Some(prev) => prev.merge_min_variance(&probe_curve),
+            None => probe_curve,
+        };
+        self.curve = Some(merged.clone());
+        ProbeReport {
+            threshold: result.threshold,
+            epoch,
+            pairs: result.pairs,
+            curve: merged,
+            seconds,
+            sketch_seconds,
+            candidates: result.stats.candidates,
+            pruned: result.stats.pruned,
+            cache_hits: result.stats.cache_hits,
+            hashes_compared: result.stats.hashes_compared,
+        }
     }
 
     /// Registers a continuous probe at `threshold`: the returned handle
@@ -453,15 +557,17 @@ impl StreamingSession {
         self.corpus.cache.get().map_or(0, |c| c.epoch())
     }
 
+    /// [`len`](Self::len) and [`epoch`](Self::epoch) read under one
+    /// corpus read guard, so the pair always describes the same epoch
+    /// even while other forks ingest.
+    pub fn len_and_epoch(&self) -> (usize, u64) {
+        let records = self.corpus.records.read().expect("corpus lock");
+        (records.len(), self.epoch())
+    }
+
     /// The similarity measure in use.
     pub fn measure(&self) -> Similarity {
         self.corpus.measure
-    }
-
-    /// An owned snapshot of the records ingested so far, taken under the
-    /// corpus lock (so it is one consistent epoch).
-    pub fn records_snapshot(&self) -> Vec<SparseVector> {
-        self.corpus.records.read().expect("corpus lock").clone()
     }
 
     /// One consistent `(records, sketches, epoch)` view for persistence,
@@ -477,8 +583,16 @@ impl StreamingSession {
         Some((records.clone(), cache.sketches(), cache.epoch()))
     }
 
-    /// The shared knowledge cache, once built (by the first ingest/probe
-    /// or [`with_shared_cache`](Self::with_shared_cache)).
+    /// The knowledge cache, once built (by the first ingest/probe or
+    /// [`with_shared_cache`](Self::with_shared_cache)).
+    pub fn cache(&self) -> Option<&SharedKnowledgeCache> {
+        self.corpus.cache.get().map(|c| &**c)
+    }
+
+    /// A shareable handle to the knowledge cache, for opening further
+    /// sessions over the same corpus
+    /// ([`with_shared_cache`](Self::with_shared_cache)). `None` until the
+    /// cache is built.
     pub fn shared_cache(&self) -> Option<Arc<SharedKnowledgeCache>> {
         self.corpus.cache.get().cloned()
     }
@@ -486,6 +600,24 @@ impl StreamingSession {
     /// The session's current Cumulative APSS Graph, if any probe has run.
     pub fn curve(&self) -> Option<&CumulativeCurve> {
         self.curve.as_ref()
+    }
+
+    /// Suggests the next threshold to probe: the knee of the current curve
+    /// (§2.2.2's "the user then notices the knee … and investigating it,
+    /// selects a new similarity threshold").
+    pub fn suggest_next_threshold(&self) -> Option<f64> {
+        let curve = self.curve.as_ref()?;
+        curve.knee().map(|k| curve.thresholds[k])
+    }
+
+    /// Triangle cue for the graph induced by a probe's pairs.
+    pub fn triangle_cue(&self, pairs: &[SimilarPair]) -> TriangleCue {
+        cues::triangle_cue(&cues::pairs_to_graph(self.len(), pairs))
+    }
+
+    /// Density plot for the graph induced by a probe's pairs.
+    pub fn density_plot(&self, pairs: &[SimilarPair]) -> DensityPlot {
+        cues::density_plot(&cues::pairs_to_graph(self.len(), pairs))
     }
 
     /// A snapshot of the corpus sketches at the current epoch, once the

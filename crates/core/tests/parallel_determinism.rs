@@ -506,8 +506,8 @@ fn knowledge_cache_probes_are_thread_count_invariant() {
     };
     let (sk1, _) = build_sketches(&records, Similarity::Cosine, &serial_cfg);
     let (sk2, _) = build_sketches(&records, Similarity::Cosine, &parallel_cfg);
-    let mut serial_cache = plasma_core::KnowledgeCache::new(sk1);
-    let mut parallel_cache = plasma_core::KnowledgeCache::new(sk2);
+    let serial_cache = SharedKnowledgeCache::new(sk1);
+    let parallel_cache = SharedKnowledgeCache::new(sk2);
     for threshold in [0.9, 0.6, 0.75] {
         let serial = serial_cache.probe(&records, Similarity::Cosine, threshold, &serial_cfg);
         let parallel = parallel_cache.probe(&records, Similarity::Cosine, threshold, &parallel_cfg);

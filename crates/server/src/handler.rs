@@ -11,17 +11,24 @@
 //! point, which is what makes recorded traces replayable across
 //! transports.
 //!
+//! # Sessions and staleness
+//!
+//! Every attached session is a fork of the corpus master, so it always
+//! probes the corpus as it stands, and each probe's reply carries the
+//! epoch the engine reports it evaluated ([`plasma_core::ProbeReport`]'s
+//! `epoch`). A pinned session also remembers the epoch it attached at: a
+//! probe that evaluated any other epoch answers `stale_session` instead,
+//! and the client re-attaches.
+//!
 //! # Panic → error boundary
 //!
-//! The engine guards invariants with panics: probing a grown cache from
-//! a stale pinned snapshot, attaching across hash families, seed
-//! mismatches. A server must outlive all of them, so every engine call
-//! sits behind the crate-private `catch_engine`: the panic is caught at the handler
-//! boundary, its message is mapped to a structured [`ErrorCode`]
-//! (`stale_session` for the stale-prefix guard, `engine_panic`
-//! otherwise), and the connection keeps serving. A thread-local shield
-//! suppresses the default panic hook's stderr spew for these *expected*
-//! panics while leaving genuine bugs loud.
+//! The engine guards invariants with panics: attaching across hash
+//! families, seed mismatches. A server must outlive all of them, so
+//! every engine call sits behind the crate-private `catch_engine`: the
+//! panic is caught at the handler boundary, answered as a structured
+//! `engine_panic` error, and the connection keeps serving. A
+//! thread-local shield suppresses the default panic hook's stderr spew
+//! for these *expected* panics while leaving genuine bugs loud.
 //!
 //! # Determinism
 //!
@@ -41,8 +48,8 @@ use std::time::Duration;
 
 use plasma_core::durable::{self, CorpusStore};
 use plasma_core::{
-    ApssConfig, CacheCapacity, CacheRegistry, RegistryCapacity, Session, SharedKnowledgeCache,
-    StreamingSession, WalSyncStats,
+    CacheCapacity, CacheRegistry, RegistryCapacity, SharedKnowledgeCache, StreamingSession,
+    WalSyncStats,
 };
 use plasma_data::similarity::Similarity;
 
@@ -137,7 +144,6 @@ impl IngestSignal {
 struct ServedCorpus {
     name: String,
     measure: Similarity,
-    cfg: ApssConfig,
     /// Forked per attach; also the corpus-wide watch/epoch vantage
     /// point. The mutex guards only fork/inspect — probes and ingests
     /// run on the forks, serialized by the corpus's own record lock.
@@ -158,14 +164,12 @@ impl ServedCorpus {
     fn new(
         name: String,
         measure: Similarity,
-        cfg: ApssConfig,
         master: StreamingSession,
         store: Option<CorpusStore>,
     ) -> Self {
         ServedCorpus {
             name,
             measure,
-            cfg,
             master: Mutex::new(master),
             signal: IngestSignal::new(),
             store,
@@ -337,7 +341,6 @@ impl ProbeService {
             Arc::new(ServedCorpus::new(
                 meta.name,
                 meta.measure,
-                cfg,
                 recovered.session,
                 Some(store),
             )),
@@ -425,24 +428,22 @@ impl ProbeService {
     }
 }
 
-/// Session state of one connection.
-enum SessionKind {
-    /// A fork of the corpus master: may probe, ingest, and watch. The
-    /// fork shares the corpus records, cache, and watch registry, so the
-    /// session alone keeps the served state alive. The corpus handle
-    /// carries the ingest signal and durable store this session's
-    /// ingests must reach.
-    Stream {
-        session: StreamingSession,
-        corpus: Arc<ServedCorpus>,
-    },
-    /// A probe-only snapshot of the corpus at attach time; goes stale
-    /// (structured `stale_session` error) once the corpus grows.
-    Pinned { session: Session },
+/// Session state of one connection: a fork of the corpus master. The
+/// fork shares the corpus records, cache, and watch registry, so the
+/// session alone keeps the served state alive. The corpus handle carries
+/// the ingest signal and durable store this session's ingests must
+/// reach.
+struct Attached {
+    session: StreamingSession,
+    corpus: Arc<ServedCorpus>,
+    /// The epoch a pinned (probe-only) session attached at; it answers
+    /// `stale_session` once the corpus has grown past it. `None` for a
+    /// streaming session, which may probe, ingest, and watch.
+    pinned_at: Option<u64>,
 }
 
 struct ConnState {
-    session: Option<SessionKind>,
+    session: Option<Attached>,
     /// Live watches in registration order, keyed by the
     /// connection-scoped id echoed on delta frames.
     watches: Vec<(u64, plasma_core::WatchHandle)>,
@@ -552,11 +553,11 @@ impl Connection {
             // Idempotent re-publish: answer with the corpus as it stands
             // (it may have grown since the original publish, or been
             // recovered warm from the data directory at boot).
-            let master = existing.master.lock().expect("master lock");
+            let (records, epoch) = existing.master.lock().expect("master lock").len_and_epoch();
             return Interaction::reply(Response::Published {
                 fingerprint: fp.clone(),
-                records: master.len(),
-                epoch: master.epoch(),
+                records,
+                epoch,
             });
         }
         let built = catch_engine(|| {
@@ -591,7 +592,7 @@ impl Connection {
                 };
                 corpora.insert(
                     fp,
-                    Arc::new(ServedCorpus::new(name, measure, cfg, master, store)),
+                    Arc::new(ServedCorpus::new(name, measure, master, store)),
                 );
                 Interaction::reply(response)
             }
@@ -660,111 +661,61 @@ impl Connection {
                 format!("no published corpus has fingerprint {fingerprint}"),
             );
         };
-        if !pinned {
-            if let Some(declared) = declared_measure {
-                if declared != corpus.measure {
-                    return Interaction::error(
-                        ErrorCode::BadRequest,
-                        format!(
-                            "corpus '{}' was published with a different measure",
-                            corpus.name
-                        ),
-                    );
-                }
-            }
-            let master = corpus.master.lock().expect("master lock");
-            let session = master.fork();
-            let (records, epoch) = (master.len(), master.epoch());
-            drop(master);
-            state.session = Some(SessionKind::Stream {
-                session,
-                corpus: corpus.clone(),
-            });
-            self.service.active_sessions.fetch_add(1, Ordering::SeqCst);
-            return Interaction::reply(Response::Attached {
-                fingerprint: fingerprint.to_string(),
-                pinned: false,
-                records,
-                epoch,
-            });
+        if declared_measure.is_some_and(|declared| declared != corpus.measure) {
+            // Wire contract: a pinned attach answers with the engine's
+            // hash-family error, a streaming attach with a bad request.
+            return if pinned {
+                Interaction::error(
+                    ErrorCode::EnginePanic,
+                    "shared cache hash family does not serve this session's measure",
+                )
+            } else {
+                Interaction::error(
+                    ErrorCode::BadRequest,
+                    format!(
+                        "corpus '{}' was published with a different measure",
+                        corpus.name
+                    ),
+                )
+            };
         }
-        // Pinned: snapshot the corpus and open a batch session over the
-        // shared cache. The declared measure (defaulting to the corpus's)
-        // flows into the session so the engine's hash-family guard fires
-        // on a mismatch — surfaced as a structured error, not a crash.
-        let measure = declared_measure.unwrap_or(corpus.measure);
-        let mut last_err = String::new();
-        // A concurrent ingest can land between the snapshot and the
-        // cache-length assertion; retry against the fresh epoch.
-        for _ in 0..3 {
-            let master = corpus.master.lock().expect("master lock");
-            let snapshot = master.records_snapshot();
-            let cache = master.shared_cache().expect("published corpus has a cache");
-            let epoch = master.epoch();
-            drop(master);
-            let records = snapshot.len();
-            let built = catch_engine(|| {
-                Session::from_records(snapshot, measure, corpus.cfg).with_shared_cache(cache)
-            });
-            match built {
-                Ok(session) => {
-                    state.session = Some(SessionKind::Pinned { session });
-                    self.service.active_sessions.fetch_add(1, Ordering::SeqCst);
-                    return Interaction::reply(Response::Attached {
-                        fingerprint: fingerprint.to_string(),
-                        pinned: true,
-                        records,
-                        epoch,
-                    });
-                }
-                Err(msg) => {
-                    let raced = msg.contains("shared cache sketches") && measure == corpus.measure;
-                    last_err = msg;
-                    if !raced {
-                        break;
-                    }
-                }
-            }
-        }
-        Interaction::error(ErrorCode::EnginePanic, last_err)
+        let master = corpus.master.lock().expect("master lock");
+        let session = master.fork();
+        let (records, epoch) = master.len_and_epoch();
+        drop(master);
+        state.session = Some(Attached {
+            session,
+            corpus: corpus.clone(),
+            pinned_at: pinned.then_some(epoch),
+        });
+        self.service.active_sessions.fetch_add(1, Ordering::SeqCst);
+        Interaction::reply(Response::Attached {
+            fingerprint: fingerprint.to_string(),
+            pinned,
+            records,
+            epoch,
+        })
     }
 
     fn handle_probe(&self, threshold: f64) -> Interaction {
         let mut state = self.state.lock().expect("connection state lock");
-        match state.session.as_mut() {
-            None => Interaction::error(ErrorCode::NoSession, "attach to a corpus first"),
-            Some(SessionKind::Stream { session, .. }) => {
-                // The probe pins one consistent epoch internally, but the
-                // session can only report its epoch after the pin is
-                // released — a concurrent ingest in that gap would mislabel
-                // the frame. Epoch-stable across the probe ⇒ that is the
-                // epoch the probe saw; retry the rare races.
-                match catch_engine(AssertUnwindSafe(|| {
-                    for _ in 0..16 {
-                        let before = session.epoch();
-                        let report = session.probe(threshold);
-                        if session.epoch() == before {
-                            return (report, before);
-                        }
-                    }
-                    let report = session.probe(threshold);
-                    let epoch = session.epoch();
-                    (report, epoch)
-                })) {
-                    Ok((report, epoch)) => Interaction::reply(Response::from_probe(&report, epoch)),
-                    Err(msg) => Interaction::error(classify_panic(&msg), msg),
-                }
-            }
-            Some(SessionKind::Pinned { session, .. }) => {
-                let epoch = session
-                    .shared_cache()
-                    .map(|c| c.epoch())
-                    .unwrap_or_default();
-                match catch_engine(AssertUnwindSafe(|| session.probe(threshold))) {
-                    Ok(report) => Interaction::reply(Response::from_probe(&report, epoch)),
-                    Err(msg) => Interaction::error(classify_panic(&msg), msg),
-                }
-            }
+        let Some(attached) = state.session.as_mut() else {
+            return Interaction::error(ErrorCode::NoSession, "attach to a corpus first");
+        };
+        let report = match catch_engine(|| attached.session.probe(threshold)) {
+            Ok(report) => report,
+            Err(msg) => return Interaction::error(ErrorCode::EnginePanic, msg),
+        };
+        match attached.pinned_at {
+            Some(pinned) if report.epoch != pinned => Interaction::error(
+                ErrorCode::StaleSession,
+                format!(
+                    "this pinned session attached at epoch {pinned} but the corpus has grown \
+                     to epoch {}; re-sync the corpus (detach and re-attach) before probing",
+                    report.epoch
+                ),
+            ),
+            _ => Interaction::reply(Response::from_probe(&report, report.epoch)),
         }
     }
 
@@ -772,20 +723,24 @@ impl Connection {
         let mut state = self.state.lock().expect("connection state lock");
         match state.session.as_mut() {
             None => Interaction::error(ErrorCode::NoSession, "attach to a corpus first"),
-            Some(SessionKind::Pinned { .. }) => Interaction::error(
+            Some(Attached {
+                pinned_at: Some(_), ..
+            }) => Interaction::error(
                 ErrorCode::BadRequest,
                 "pinned sessions are probe-only; attach with pinned=false to ingest",
             ),
-            Some(SessionKind::Stream { session, corpus }) => {
+            Some(Attached {
+                session, corpus, ..
+            }) => {
                 let corpus = corpus.clone();
                 // Engine-mutate + WAL-append is one atomic unit versus
                 // the snapshotter (lock order persist → engine), so a
                 // snapshot can never capture the in-memory half of an
                 // ingest whose log entry hasn't landed.
                 let persist = corpus.persist.lock().expect("persist lock");
-                let report = match catch_engine(AssertUnwindSafe(|| session.ingest(records))) {
+                let report = match catch_engine(|| session.ingest(records)) {
                     Ok(report) => report,
-                    Err(msg) => return Interaction::error(classify_panic(&msg), msg),
+                    Err(msg) => return Interaction::error(ErrorCode::EnginePanic, msg),
                 };
                 let mut mark = None;
                 if report.records_added > 0 {
@@ -851,12 +806,14 @@ impl Connection {
         let mut state = self.state.lock().expect("connection state lock");
         match state.session.as_mut() {
             None => Interaction::error(ErrorCode::NoSession, "attach to a corpus first"),
-            Some(SessionKind::Pinned { .. }) => Interaction::error(
+            Some(Attached {
+                pinned_at: Some(_), ..
+            }) => Interaction::error(
                 ErrorCode::BadRequest,
                 "pinned sessions are probe-only; attach with pinned=false to watch",
             ),
-            Some(SessionKind::Stream { session, .. }) => {
-                match catch_engine(AssertUnwindSafe(|| session.watch(threshold))) {
+            Some(Attached { session, .. }) => {
+                match catch_engine(|| session.watch(threshold)) {
                     Ok(handle) => {
                         let watch_id = state.next_watch_id;
                         state.next_watch_id += 1;
@@ -873,7 +830,7 @@ impl Connection {
                             events,
                         }
                     }
-                    Err(msg) => Interaction::error(classify_panic(&msg), msg),
+                    Err(msg) => Interaction::error(ErrorCode::EnginePanic, msg),
                 }
             }
         }
@@ -901,16 +858,10 @@ impl Connection {
     fn handle_memory_stats(&self) -> Interaction {
         let state = self.state.lock().expect("connection state lock");
         let (scope, stats) = match &state.session {
-            Some(kind) => {
-                let cache = match kind {
-                    SessionKind::Stream { session, .. } => session.shared_cache(),
-                    SessionKind::Pinned { session, .. } => session.shared_cache(),
-                };
-                match cache {
-                    Some(cache) => ("corpus", vec![cache]),
-                    None => ("corpus", Vec::new()),
-                }
-            }
+            Some(attached) => (
+                "corpus",
+                attached.session.shared_cache().into_iter().collect(),
+            ),
             None => {
                 let corpora = self.service.corpora.read().expect("corpora lock");
                 let caches: Vec<Arc<SharedKnowledgeCache>> = corpora
@@ -981,7 +932,11 @@ impl Connection {
         let attached: Option<Arc<ServedCorpus>> = {
             let state = self.state.lock().expect("connection state lock");
             match &state.session {
-                Some(SessionKind::Stream { corpus, .. }) => Some(corpus.clone()),
+                Some(Attached {
+                    corpus,
+                    pinned_at: None,
+                    ..
+                }) => Some(corpus.clone()),
                 _ => None,
             }
         };
@@ -1059,15 +1014,6 @@ fn drain_watches(state: &mut ConnState) -> Vec<Response> {
     events
 }
 
-/// Maps an engine panic message to the protocol error code.
-fn classify_panic(message: &str) -> ErrorCode {
-    if message.contains("re-sync the corpus") || message.contains("stale prefix") {
-        ErrorCode::StaleSession
-    } else {
-        ErrorCode::EnginePanic
-    }
-}
-
 thread_local! {
     /// True while this thread runs an engine call under [`catch_engine`];
     /// the shield hook swallows panic output for exactly that window.
@@ -1122,15 +1068,19 @@ mod tests {
             .collect()
     }
 
+    fn publish_cfg() -> PublishCfg {
+        PublishCfg {
+            parallelism: Some(1),
+            ..PublishCfg::default()
+        }
+    }
+
     fn publish(conn: &Connection, n: usize) -> String {
         let outcome = conn.handle(Request::Publish {
             name: "t".into(),
             measure: Similarity::Jaccard,
             records: corpus(n),
-            cfg: PublishCfg {
-                parallelism: Some(1),
-                ..PublishCfg::default()
-            },
+            cfg: publish_cfg(),
         });
         match outcome.response {
             Response::Published { fingerprint, .. } => fingerprint,
@@ -1346,5 +1296,131 @@ mod tests {
             }
             other => panic!("expected watch delta, got {}", other.encode()),
         }
+    }
+
+    /// The concurrent-ingest fixture: a corpus of `BASE` records published,
+    /// then grown by `BATCHES` ingests of `BATCH` records each, so the
+    /// prefix at epoch `e` is the first `BASE + BATCH * e` records.
+    const BASE: usize = 16;
+    const BATCH: usize = 4;
+    const BATCHES: usize = 12;
+
+    /// The pairs a cold session over the prefix at `epoch` returns.
+    fn cold_pairs(epoch: u64, threshold: f64) -> Vec<plasma_core::apss::SimilarPair> {
+        let prefix = corpus(BASE + BATCH * epoch as usize);
+        let cfg = publish_cfg().to_apss_config();
+        plasma_core::Session::from_records(prefix, Similarity::Jaccard, cfg)
+            .probe(threshold)
+            .pairs
+    }
+
+    fn attach(conn: &Connection, fingerprint: &str, pinned: bool) -> Response {
+        conn.handle(Request::Attach {
+            fingerprint: fingerprint.to_string(),
+            pinned,
+            declared_measure: None,
+        })
+        .response
+    }
+
+    /// Ingests every fixture batch through `writer`, then raises `done`.
+    fn ingest_all(writer: &Connection, done: &AtomicBool) {
+        let all = corpus(BASE + BATCH * BATCHES);
+        for batch in all[BASE..].chunks(BATCH) {
+            let ingested = writer.handle(Request::Ingest {
+                records: batch.to_vec(),
+            });
+            assert!(matches!(ingested.response, Response::Ingested { .. }));
+        }
+        done.store(true, Ordering::SeqCst);
+    }
+
+    #[test]
+    fn one_engine_probe_per_served_probe_under_concurrent_ingest() {
+        let service = Arc::new(ProbeService::new());
+        let prober = Connection::new(service.clone());
+        let fp = publish(&prober, BASE);
+        attach(&prober, &fp, false);
+        // The writer keeps a watch, so every ingest also evaluates one.
+        let writer = Connection::new(service.clone());
+        attach(&writer, &fp, false);
+        let watched = writer.handle(Request::Watch { threshold: 0.5 });
+        assert!(matches!(watched.response, Response::WatchAck { .. }));
+        let cache = service
+            .corpus(&fp)
+            .expect("published")
+            .master
+            .lock()
+            .expect("master lock")
+            .shared_cache()
+            .expect("published corpora have a cache");
+        let history = cache.probe_history().len();
+
+        let done = AtomicBool::new(false);
+        let replies: Vec<Response> = std::thread::scope(|scope| {
+            scope.spawn(|| ingest_all(&writer, &done));
+            let mut replies = Vec::new();
+            while !done.load(Ordering::SeqCst) || replies.len() < 8 {
+                replies.push(prober.handle(Request::Probe { threshold: 0.5 }).response);
+            }
+            replies
+        });
+
+        assert_eq!(
+            cache.probe_history().len(),
+            history + replies.len(),
+            "exactly one engine probe per served probe; watches add none"
+        );
+        for reply in replies {
+            match reply {
+                Response::ProbeResult { epoch, pairs, .. } => {
+                    assert_eq!(pairs, cold_pairs(epoch, 0.5), "epoch {epoch}");
+                }
+                other => panic!("expected probe_result, got {}", other.encode()),
+            }
+        }
+    }
+
+    #[test]
+    fn pinned_sessions_under_concurrent_ingest_answer_their_epoch_or_go_stale() {
+        let service = Arc::new(ProbeService::new());
+        let writer = Connection::new(service.clone());
+        let fp = publish(&writer, BASE);
+        attach(&writer, &fp, false);
+        let reader = Connection::new(service);
+
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| ingest_all(&writer, &done));
+            // One more round after the writer finishes: with the corpus
+            // still, a pinned session must answer every probe.
+            let mut last_round = false;
+            while !last_round {
+                last_round = done.load(Ordering::SeqCst);
+                let pinned_at = match attach(&reader, &fp, true) {
+                    Response::Attached { records, epoch, .. } => {
+                        assert_eq!(records, BASE + BATCH * epoch as usize);
+                        epoch
+                    }
+                    other => panic!("pinned attach under ingest: {}", other.encode()),
+                };
+                let cold = cold_pairs(pinned_at, 0.5);
+                for _ in 0..3 {
+                    match reader.handle(Request::Probe { threshold: 0.5 }).response {
+                        Response::ProbeResult { epoch, pairs, .. } => {
+                            assert_eq!(epoch, pinned_at);
+                            assert_eq!(pairs, cold, "epoch {epoch}");
+                        }
+                        Response::Error { code, message } if !last_round => {
+                            assert_eq!(code, ErrorCode::StaleSession, "{message}");
+                            assert!(message.contains("re-sync"), "{message}");
+                            break;
+                        }
+                        other => panic!("pinned probe: {}", other.encode()),
+                    }
+                }
+                reader.handle(Request::Detach);
+            }
+        });
     }
 }

@@ -48,15 +48,14 @@ pub enum ErrorCode {
     NoSession,
     /// `attach` on a connection that already holds a session.
     AlreadyAttached,
-    /// A pinned session probed a corpus that has since grown — the
-    /// engine's stale-prefix guard fired.
+    /// A pinned session probed a corpus that has grown past the epoch it
+    /// attached at.
     StaleSession,
     /// `unwatch` named a watch id this connection never registered (or
     /// already cancelled).
     UnknownWatch,
-    /// The engine panicked for any other reason (e.g. seed or measure
-    /// mismatch against the shared cache); the message carries the
-    /// panic text.
+    /// The engine panicked (e.g. seed or measure mismatch against the
+    /// shared cache); the message carries the panic text.
     EnginePanic,
     /// The server is draining and accepts no new work.
     Draining,
@@ -148,9 +147,9 @@ pub enum Request {
         /// attach time; streaming sessions (the default) may ingest and
         /// watch.
         pinned: bool,
-        /// When set, the session asserts this family against the shared
-        /// cache — a mismatch surfaces the engine's guard as a
-        /// structured error.
+        /// When set, must match the corpus's published measure; a
+        /// mismatch is a structured error (`engine_panic` naming the
+        /// hash family when pinned, `bad_request` otherwise).
         declared_measure: Option<Similarity>,
     },
     /// Probes the attached corpus at a threshold.
